@@ -73,9 +73,10 @@ void BM_Lifespans(benchmark::State& state) {
   auto w = make_sized(static_cast<int>(state.range(0)));
   pipeline::straighten(w.module);
   const auto region = ir::linearize(w.module.thread.tree, w.loop);
+  const alloc::LifespanContext ctx(w.module.thread.dfg, region,
+                                   tech::artisan90());
   for (auto _ : state) {
-    auto ls = alloc::compute_lifespans(w.module.thread.dfg, region, 16,
-                                       tech::artisan90(), 1600, false);
+    auto ls = alloc::compute_lifespans(ctx, 16, 1600, false);
     benchmark::DoNotOptimize(ls.feasible);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/analysis.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hls::alloc {
@@ -15,72 +14,90 @@ using ir::OpId;
 using ir::OpKind;
 using tech::FuClass;
 
-namespace {
+LifespanContext::LifespanContext(const Dfg& dfg_in, const LinearRegion& region,
+                                 const tech::Library& lib_in)
+    : dfg(&dfg_in), lib(&lib_in) {
+  const std::size_t n = dfg_in.size();
+  home.assign(n, -1);
+  for (int s = 0; s < region.num_steps(); ++s) {
+    for (OpId id : region.steps[s]) home[id] = s;
+  }
+  const auto in_region = [&](OpId id) { return home[id] >= 0; };
 
-double optimistic_fu_delay(const Dfg& dfg, OpId id, const tech::Library& lib) {
-  const FuClass c = tech::fu_class_for(dfg, id);
-  if (c == FuClass::kNone) return 0;
-  if (lib.fu_latency_cycles(c) > 0) return 0;  // multi-cycle: registered
-  return lib.fu_delay_ps(c, tech::resource_width_for(dfg, id));
+  // Dependence model must mirror the scheduler's: predicate edges only
+  // matter for no-speculate consumers (writes). Speculable ops execute
+  // regardless of their predicate, so the predicate producer does not
+  // constrain their life span. Consts and outer values never constrain a
+  // span either, so both lists keep region members only.
+  deps.assign(n, {});
+  users.assign(n, {});
+  for (OpId id = 0; id < n; ++id) {
+    if (!in_region(id)) continue;
+    const Op& o = dfg_in.op(id);
+    auto& d = deps[id];
+    for (std::size_t i = 0; i < o.operands.size(); ++i) {
+      if (o.kind == OpKind::kLoopMux && i == 1) continue;  // carried
+      const OpId x = o.operands[i];
+      if (x != kNoOp && in_region(x)) d.push_back(x);
+    }
+    if (o.pred != kNoOp && o.no_speculate && in_region(o.pred)) {
+      d.push_back(o.pred);
+    }
+    std::sort(d.begin(), d.end());
+    d.erase(std::unique(d.begin(), d.end()), d.end());
+    for (OpId x : d) {
+      // The carried edge constrains across iterations, not within one.
+      if (o.kind == OpKind::kLoopMux && o.operands[1] == x) continue;
+      users[x].push_back(id);
+    }
+  }
+  for (OpId id : dfg_in.topo_order()) {
+    if (in_region(id)) order.push_back(id);
+  }
+
+  fu_delay.assign(n, 0);
+  mc_latency.assign(n, 0);
+  for (OpId id : order) {
+    const FuClass c = tech::fu_class_for(dfg_in, id);
+    if (c == FuClass::kNone) continue;
+    mc_latency[id] = lib_in.fu_latency_cycles(c);
+    // Multi-cycle units are registered: no combinational delay to chain.
+    if (mc_latency[id] == 0) {
+      fu_delay[id] =
+          lib_in.fu_delay_ps(c, tech::resource_width_for(dfg_in, id));
+    }
+  }
 }
 
-}  // namespace
-
-LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
-                                 int num_steps, const tech::Library& lib,
+LifespanResult compute_lifespans(const LifespanContext& ctx, int num_steps,
                                  double tclk_ps, bool anchor_io,
                                  const std::vector<int>* window_min,
                                  const std::vector<int>* window_max) {
   HLS_ASSERT(num_steps >= 1, "region needs at least one step");
+  const Dfg& dfg = *ctx.dfg;
+  const tech::Library& lib = *ctx.lib;
   LifespanResult out;
+  out.num_steps = num_steps;
   out.spans.assign(dfg.size(), OpSpan{});
-
-  std::vector<int> home(dfg.size(), -1);
-  for (int s = 0; s < region.num_steps(); ++s) {
-    for (OpId id : region.steps[s]) {
-      out.spans[id].in_region = true;
-      home[id] = std::min(s, num_steps - 1);
-    }
-  }
+  for (OpId id : ctx.order) out.spans[id].in_region = true;
+  const auto home_step = [&](OpId id) {
+    return std::min(ctx.home[id], num_steps - 1);
+  };
 
   // Usable combinational window per cycle (optimistic: no sharing muxes).
   const double usable = tclk_ps - lib.reg_clk_to_q_ps() - lib.reg_setup_ps();
   const double launch = lib.reg_clk_to_q_ps();
 
-  // Dependence model must mirror the scheduler's: predicate edges only
-  // matter for no-speculate consumers (writes). Speculable ops execute
-  // regardless of their predicate, so the predicate producer does not
-  // constrain their life span.
-  std::vector<std::vector<OpId>> deps(dfg.size());
-  std::vector<std::vector<OpId>> users(dfg.size());
-  for (OpId id = 0; id < dfg.size(); ++id) {
-    const Op& o = dfg.op(id);
-    auto& d = deps[id];
-    for (std::size_t i = 0; i < o.operands.size(); ++i) {
-      if (o.kind == OpKind::kLoopMux && i == 1) continue;  // carried
-      if (o.operands[i] != kNoOp) d.push_back(o.operands[i]);
-    }
-    if (o.pred != kNoOp && o.no_speculate) d.push_back(o.pred);
-    std::sort(d.begin(), d.end());
-    d.erase(std::unique(d.begin(), d.end()), d.end());
-    for (OpId x : d) users[x].push_back(id);
-  }
-  const auto order = dfg.topo_order();
-
   // ---- ASAP: forward chain packing ----------------------------------------
-  for (OpId id : order) {
+  for (OpId id : ctx.order) {
     OpSpan& sp = out.spans[id];
-    if (!sp.in_region) continue;
     const Op& o = dfg.op(id);
-    const double fu = optimistic_fu_delay(dfg, id, lib);
-    const FuClass cls = tech::fu_class_for(dfg, id);
-    const int mc_latency =
-        cls == FuClass::kNone ? 0 : lib.fu_latency_cycles(cls);
+    const double fu = ctx.fu_delay[id];
+    const int mc_latency = ctx.mc_latency[id];
 
     int step = 0;
     double arr_in = launch;  // region inputs / carried values are registered
-    for (OpId d : deps[id]) {
-      if (!out.spans[d].in_region) continue;  // consts / outer values
+    for (OpId d : ctx.deps[id]) {
       const OpSpan& ds = out.spans[d];
       const int d_result =
           ds.asap;  // multi-cycle result step already folded into asap below
@@ -95,33 +112,32 @@ LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
       // Operands must be registered: if anything chains into this step,
       // start one step later. Result is registered after mc_latency cycles.
       bool chained = false;
-      for (OpId d : deps[id]) {
-        if (out.spans[d].in_region && out.spans[d].asap == step &&
+      for (OpId d : ctx.deps[id]) {
+        if (out.spans[d].asap == step &&
             out.spans[d].asap_arrival_ps > launch) {
           chained = true;
         }
       }
       if (chained) ++step;
       step += mc_latency;  // result step
-      arr_in = launch;
-      out.spans[id].asap = step;
-      out.spans[id].asap_arrival_ps = launch;
+      sp.asap = step;
+      sp.asap_arrival_ps = launch;
     } else {
       double arr_out = arr_in + fu;
       if (arr_out + lib.reg_setup_ps() > tclk_ps) {
         // Cut the chain: register inputs, move to the next step.
         ++step;
         arr_out = launch + fu;
-        HLS_ASSERT(fu <= usable,
-                   "operation '", o.name, "' (", tech::fu_class_name(cls),
+        HLS_ASSERT(fu <= usable, "operation '", o.name, "' (",
+                   tech::fu_class_name(tech::fu_class_for(dfg, id)),
                    ") cannot fit in the clock period even alone: ", fu,
                    " > ", usable, " ps");
       }
       sp.asap = step;
       sp.asap_arrival_ps = arr_out;
     }
-    if (anchor_io && ir::is_io(o.kind) && home[id] >= 0) {
-      sp.asap = std::max(sp.asap, home[id]);
+    if (anchor_io && ir::is_io(o.kind)) {
+      sp.asap = std::max(sp.asap, home_step(id));
       if (sp.asap != step) sp.asap_arrival_ps = launch + fu;
     }
     // Timing-window lower bound: the op may not start before wmin, and
@@ -141,25 +157,14 @@ LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
   // boundary below it; cuts_below: register stages strictly below the op.
   std::vector<double> tail(dfg.size(), 0);
   std::vector<int> cuts_below(dfg.size(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = ctx.order.rbegin(); it != ctx.order.rend(); ++it) {
     const OpId id = *it;
     OpSpan& sp = out.spans[id];
-    if (!sp.in_region) continue;
-    const Op& o = dfg.op(id);
-    const double fu = optimistic_fu_delay(dfg, id, lib);
-    const FuClass cls = tech::fu_class_for(dfg, id);
-    const int mc_latency =
-        cls == FuClass::kNone ? 0 : lib.fu_latency_cycles(cls);
+    const double fu = ctx.fu_delay[id];
 
     double max_tail = 0;
     int max_cuts = 0;
-    for (OpId u : users[id]) {
-      if (!out.spans[u].in_region) continue;
-      // Skip the carried edge: it constrains across iterations, not within.
-      if (dfg.op(u).kind == OpKind::kLoopMux &&
-          dfg.op(u).operands[1] == id) {
-        continue;
-      }
+    for (OpId u : ctx.users[id]) {
       if (cuts_below[u] > max_cuts) {
         max_cuts = cuts_below[u];
         max_tail = tail[u];
@@ -174,8 +179,8 @@ LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
       ++cuts;
       t = fu;
     }
-    if (mc_latency > 0) {
-      cuts += mc_latency;
+    if (ctx.mc_latency[id] > 0) {
+      cuts += ctx.mc_latency[id];
       t = 0;
     }
     // Timing-window upper bound, folded into the cut count *before* it is
@@ -193,8 +198,8 @@ LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
     tail[id] = t;
     cuts_below[id] = cuts;
     sp.alap = num_steps - 1 - cuts;
-    if (anchor_io && ir::is_io(o.kind) && home[id] >= 0) {
-      sp.alap = std::min(sp.alap, home[id]);
+    if (anchor_io && ir::is_io(dfg.op(id).kind)) {
+      sp.alap = std::min(sp.alap, home_step(id));
     }
     if (sp.alap < sp.asap && out.feasible) {
       out.feasible = false;

@@ -144,8 +144,10 @@ struct ExploreOptions {
 /// Seed plumbing for run_point: lets a serving layer thread a
 /// sched::ScheduleSeed from a finished neighboring configuration into a
 /// run, and capture the run's own seed for later reuse. Exploration's
-/// determinism contract is preserved because a seed can only change pass
-/// counts, never the schedule (the driver restarts cold on a seed miss).
+/// determinism contract is preserved because a seed never changes the
+/// schedule: an exact-config seed replays the identical final pass (only
+/// the pass count drops), a neighbor seed leaves the cold ladder and its
+/// pass count untouched, and the driver restarts cold on a seed miss.
 struct RunPointExtras {
   /// Seed to offer the scheduler (must describe the same module; the
   /// pointee must outlive the call). nullptr = cold.

@@ -144,6 +144,30 @@ std::string render_json(const FlowResult& r) {
       }
       w.end_array();
     }
+    // Per-pass warm-start replay (warm passes only; the key is absent when
+    // every pass ran cold): the replayed share of a pass is
+    // replayed_events / events.
+    if (std::any_of(r.sched.history.begin(), r.sched.history.end(),
+                    [](const sched::PassRecord& p) {
+                      return p.warm_frontier > 0;
+                    })) {
+      w.key("warm_starts");
+      w.begin_array();
+      for (const auto& p : r.sched.history) {
+        if (p.warm_frontier == 0) continue;
+        w.begin_object();
+        w.key("pass");
+        w.value(p.pass_number);
+        w.key("frontier");
+        w.value(p.warm_frontier);
+        w.key("replayed_events");
+        w.value(p.replayed_events);
+        w.key("events");
+        w.value(p.trace_events);
+        w.end_object();
+      }
+      w.end_array();
+    }
     w.key("timing_queries");
     w.value(r.sched.timing_queries);
     w.key("sched_seconds");

@@ -130,7 +130,9 @@ FlowSession::FlowSession(workloads::Workload workload,
     // designs. The dump is taken AFTER optimize + predicate: equal hashes
     // mean equal scheduling inputs, which is the cache's contract.
     ir::Module canonical = compiled_;
-    canonical.name = "m";
+    // Not `= "m"`: gcc 12 at -O3 reports a false -Wrestrict overlap on
+    // that assignment.
+    canonical.name.assign(1, 'm');
     module_hash_ =
         fnv1a(ir::print_module(canonical),
               fnv1a("loop", 0xcbf29ce484222325ULL) ^ (loop_ * 0x9e3779b97f4a7c15ULL));

@@ -6,7 +6,7 @@
 // how one constrained scheduling *attempt* over the current Problem is
 // made. A backend is constructed once per schedule_region call from the
 // Problem and the SchedulerOptions (so it can cache pass-invariant
-// structure — dependence graphs, priority ranks), and its `run_pass` is
+// structure — dependence graphs, constraint edges), and its `run_pass` is
 // invoked once per pass against the expert-mutated Problem, producing the
 // same PassOutcome shape (partial schedule + restraints) the expert
 // consumes. The driver turns the pass sequence into a SchedulerResult

@@ -595,7 +595,7 @@ SolverHost::SolverHost(const Problem& p, const DependenceGraph& dg,
     : p_(p),
       dfg_(*p.dfg),
       binder_(p, dg, eng, *this),
-      po_(compute_priority_order(p)) {
+      po_(p.priority) {
   deferred_mark_.assign(dfg_.size(), 0);
   defer_logged_.assign(dfg_.size(), false);
 }
@@ -690,7 +690,15 @@ void SolverHost::fatal_no_states(OpId id, int e, PassEvent::Kind kind) {
   record_fatal(id, e, kind, restraints_before);
 }
 
+PassOutcome SolverHost::finish_pass() {
+  PassOutcome out = binder_.finish();
+  out.trace = std::move(trace_);
+  out.replayed_events = replayed_events_;
+  return out;
+}
+
 void SolverHost::apply_replay(const PassEvent& ev) {
+  ++replayed_events_;
   switch (ev.kind) {
     case PassEvent::Kind::kCommit:
       binder_.commit(ev.op, ev.pool, ev.instance, ev.step, ev.lat,

@@ -21,6 +21,7 @@
 // pass-invariant and built once per schedule_region by each backend.
 #pragma once
 
+#include <limits>
 #include <set>
 
 #include "sched/priority.hpp"
@@ -72,7 +73,15 @@ struct PassEvent {
 };
 
 struct PassTrace {
+  static constexpr int kNoSaturation = std::numeric_limits<int>::max();
+
   std::vector<PassEvent> events;
+  /// SDC passes: the first step whose end-of-step bound propagation hit a
+  /// saturation cap (0 when the initial solve did). The caps grow with
+  /// num_steps, so a pass with more states can derive different bounds
+  /// from there on; the AddState frontier stops at it. kNoSaturation for
+  /// list passes and for SDC passes that never clamped.
+  int first_saturation_step = kNoSaturation;
 };
 
 /// Warm-start request: replay `trace` events at steps < `frontier_step`,
@@ -100,6 +109,9 @@ struct PassOutcome {
   /// system (SDC backend only; 0 for list passes). Surfaced per pass in
   /// PassRecord::constraint_edges.
   std::uint64_t constraint_edges = 0;
+  /// Decisions taken from the warm-start trace instead of re-derived
+  /// (0 for cold passes); trace.events.size() is the pass's total.
+  std::uint64_t replayed_events = 0;
 };
 
 /// The shared binder: everything a constrained scheduling attempt needs
@@ -258,9 +270,10 @@ class BindingEngine {
 };
 
 /// Solver-side scaffolding shared by both backends' pass runners: owns
-/// the BindingEngine, the priority-rank-ordered active set, the per-step
-/// deferral epochs, and the decision trace (commits, first defers,
-/// fatals with their restraint slices). A backend's pass runner derives
+/// the BindingEngine, the priority-rank-ordered active set (ranks read
+/// from Problem::priority), the per-step deferral epochs, and the
+/// decision trace (commits, first defers, fatals with their restraint
+/// slices). A backend's pass runner derives
 /// from this, keeps only its own ready queues/counters and step loop,
 /// and implements `on_dep_satisfied` — how a released consumer re-enters
 /// those queues, which is the one readiness rule the backends genuinely
@@ -290,11 +303,13 @@ class SolverHost : public BindingEngine::Host {
   void fatal_no_states(ir::OpId id, int e, PassEvent::Kind kind);
   /// Replays one recorded decision through the engine and the trace.
   void apply_replay(const PassEvent& ev);
+  /// The engine's outcome plus this pass's trace and replay count.
+  PassOutcome finish_pass();
 
   const Problem& p_;
   const ir::Dfg& dfg_;
   BindingEngine binder_;
-  PriorityOrder po_;
+  const PriorityOrder& po_;
   std::set<int> active_;  ///< ranks of currently eligible ops
   std::vector<ir::OpId> step_anchored_;
   std::vector<std::uint32_t> deferred_mark_;
@@ -309,6 +324,7 @@ class SolverHost : public BindingEngine::Host {
   mutable std::uint32_t ready_cursor_epoch_ = 0;
   mutable int ready_cursor_rank_ = 0;
   PassTrace trace_;
+  std::uint64_t replayed_events_ = 0;
 
  private:
   void record_fatal(ir::OpId id, int e, PassEvent::Kind kind,

@@ -305,6 +305,9 @@ SchedulerResult run_relaxation_loop(
     rec.success = outcome.success;
     rec.constraint_edges = outcome.constraint_edges;
     rec.propagation_relaxations = outcome.relax_steps;
+    rec.warm_frontier = use_warm ? std::min(frontier, p.num_steps) : 0;
+    rec.replayed_events = outcome.replayed_events;
+    rec.trace_events = outcome.trace.events.size();
     for (const Restraint& r : outcome.restraints) {
       rec.restraints.push_back(r.to_string(dfg));
       if (is_memory_restraint(r.kind)) ++result.memory_restraints;
@@ -355,18 +358,19 @@ SchedulerResult run_relaxation_loop(
 /// and the relaxation loop. The public schedule_region either forwards
 /// here directly or, under options.solve_min_ii, drives this once per
 /// candidate II.
-SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
-                                     const ir::LinearRegion& region,
-                                     ir::LatencyBound latency,
-                                     std::size_t num_ports,
-                                     const SchedulerOptions& options) {
+SchedulerResult schedule_region_impl(
+    const ir::Dfg& dfg, const ir::LinearRegion& region,
+    ir::LatencyBound latency, std::size_t num_ports,
+    const SchedulerOptions& options,
+    std::shared_ptr<const alloc::LifespanContext> span_context = nullptr) {
   const tech::Library& lib =
       options.lib != nullptr ? *options.lib : tech::artisan90();
   timing::TimingEngine eng(lib, options.tclk_ps, options.shared_delays);
 
   Problem p = build_problem(dfg, region, latency, lib, options.tclk_ps,
                             options.pipeline, num_ports, options.anchor_io,
-                            options.use_mutual_exclusivity, options.memory);
+                            options.use_mutual_exclusivity, options.memory,
+                            std::move(span_context));
   p.enable_chaining = options.enable_chaining;
   p.avoid_comb_cycles = options.avoid_comb_cycles;
   p.exclusive_colocation = options.use_mutual_exclusivity;
@@ -426,11 +430,10 @@ SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
   // Exact-config seeds replay the donor's final pass wholesale (bit-exact
   // by the warm ≡ cold guarantee: a successful trace has no fatal events,
   // so a full replay re-derives the identical schedule). Neighbor seeds
-  // (same module/II/latency, different tclk) go through the
-  // ladder-following protocol inside run_relaxation_loop — pass 1 always
-  // runs cold, and the jump fires only once the cold ladder agrees with
-  // the donor recipe, so a seed changes pass counts but is designed never
-  // to change the result (pinned by the serve golden suite).
+  // (same module/II/latency, different tclk) run the cold ladder
+  // unchanged inside run_relaxation_loop and only compare it against the
+  // donor recipe to label the run kSeeded or kMiss: they change neither
+  // the result nor the pass count (pinned by the serve golden suite).
   const ScheduleSeed* seed = options.seed;
   const bool seed_shape_ok =
       seed != nullptr && options.warm_start && backend->warm_startable() &&
@@ -529,7 +532,9 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
   // and failed. This matches an exhaustive II sweep's answer while
   // skipping the sweep's infeasible prefix without running a single pass
   // on it. Each candidate attempt gets the full option budget; the
-  // returned engine_commits/relax_steps accumulate the whole escalation.
+  // returned timing_queries/engine_commits/relax_steps accumulate the
+  // whole escalation. The probe and every candidate share one span
+  // context.
   const tech::Library& lib =
       options.lib != nullptr ? *options.lib : tech::artisan90();
   const int floor_ii = std::max(1, options.pipeline.ii);
@@ -565,6 +570,7 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
         "latency bound at any candidate II");
   }
 
+  std::uint64_t queries = 0;
   std::uint64_t commits = 0;
   std::uint64_t relax = 0;
   int attempts = 0;
@@ -582,14 +588,16 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
     o2.solve_min_ii = false;
     o2.pipeline = {true, ii};
     ++attempts;
-    SchedulerResult r =
-        schedule_region_impl(dfg, region, latency, num_ports, o2);
+    SchedulerResult r = schedule_region_impl(dfg, region, latency, num_ports,
+                                             o2, probe_p.span_context);
+    queries += r.timing_queries;
     commits += r.engine_commits;
     relax += r.relax_steps;
     const bool out_of_budget =
         r.failure_code == "budget_exhausted" || r.failure_code == "cancelled" ||
         r.failure_code == "deadline_exceeded";
     if (r.success || out_of_budget) {
+      r.timing_queries = queries;
       r.engine_commits = commits;
       r.relax_steps = relax;
       if (r.success) {
@@ -607,6 +615,7 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
   SchedulerResult r = no_feasible(
       strf("all ", attempts, " probe-feasible candidate(s) from II=", start,
            " failed to schedule"));
+  r.timing_queries = queries;
   r.engine_commits = commits;
   r.relax_steps = relax;
   return r;

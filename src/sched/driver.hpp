@@ -140,9 +140,10 @@ struct SchedulerOptions {
   /// binary search starting at max(1, pipeline.ii), then runs full solves
   /// upward from the smallest probe-feasible candidate until one
   /// schedules; SchedulerResult::min_ii reports the solved II. Budget
-  /// limits apply to each candidate attempt; engine_commits/relax_steps
-  /// accumulate across attempts. No candidate feasible up to latency.max
-  /// fails with failure_code "no_feasible_ii".
+  /// limits apply to each candidate attempt; timing_queries,
+  /// engine_commits and relax_steps accumulate across attempts. No
+  /// candidate feasible up to latency.max fails with failure_code
+  /// "no_feasible_ii".
   bool solve_min_ii = false;
 
   /// Use the legacy O(n^2) pairwise II-window encoding in the SDC backend
@@ -177,6 +178,14 @@ struct PassRecord {
   /// regressions show up in bench artifacts, not only as wall-clock.
   std::uint64_t constraint_edges = 0;
   std::uint64_t propagation_relaxations = 0;
+
+  /// Warm-start accounting (both backends): the step the pass replayed
+  /// its predecessor's decisions up to (0 = cold pass), how many recorded
+  /// decisions it replayed, and how many its own trace holds. Emitted by
+  /// render_json ("warm_starts").
+  int warm_frontier = 0;
+  std::uint64_t replayed_events = 0;
+  std::uint64_t trace_events = 0;
 };
 
 struct SchedulerResult {

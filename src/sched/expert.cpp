@@ -398,18 +398,47 @@ ExpertDecision choose_action(const Problem& p, const PassOutcome& outcome,
 
 int warm_start_frontier(const Problem& p, const Action& a,
                         const PassTrace& trace) {
-  // AddState reshapes every life span (and with them priorities);
   // AcceptSlack turns every failing timing verdict into a commit and
-  // rewrites SCC releases. Neither leaves a safe prefix. The
+  // rewrites SCC releases, which leaves no safe prefix. The
   // accept-negative-slack endgame is also globally sensitive: any extra
   // instance extends the least-negative-candidate set of every bind.
-  if (a.kind == ActionKind::kAddState || a.kind == ActionKind::kAcceptSlack) {
-    return 0;
-  }
-  if (p.accept_negative_slack) return 0;
+  if (a.kind == ActionKind::kAcceptSlack || p.accept_negative_slack) return 0;
 
   int frontier = p.num_steps;
   switch (a.kind) {
+    case ActionKind::kAddState: {
+      // With the same ranks, releases and no earlier deadline, a pass over
+      // more states offers the same ops in the same order at every step,
+      // and every bind attempt sees the same occupancy and timing. Only
+      // three things can differ: a deadline that moved later turns a
+      // recorded fatal into a defer (stop at the first fatal of an op
+      // whose deadline moved; one an SCC window still pins recurs
+      // verbatim); a bind whose unit would run into the old last state,
+      // refused there, may now fit (stop the largest latency short of
+      // it); and an SDC bound clamped at the old state count may now rise
+      // further (stop at the first clamp).
+      const SpanShift& shift = p.span_shift;
+      if (!shift.ranks_same || !shift.releases_same ||
+          !shift.deadlines_not_earlier) {
+        return 0;
+      }
+      int max_latency = 0;
+      for (const alloc::ResourcePool& pool : p.resources.pools) {
+        max_latency = std::max(max_latency, pool.latency_cycles);
+      }
+      frontier = std::min({frontier, shift.previous_num_steps - 1 - max_latency,
+                           trace.first_saturation_step});
+      for (const PassEvent& ev : trace.events) {
+        if (ev.step >= frontier) break;  // events are step-ordered
+        if (ev.kind != PassEvent::Kind::kCommit &&
+            ev.kind != PassEvent::Kind::kDefer &&
+            shift.deadline_moved[ev.op]) {
+          frontier = ev.step;
+          break;
+        }
+      }
+      break;
+    }
     case ActionKind::kAddResource: {
       const auto& pdesc = p.resources.pools[static_cast<std::size_t>(a.pool)];
       const int members = p.pool_members(a.pool);

@@ -74,10 +74,17 @@ void apply_action(Problem& p, const Action& a);
 /// Warm-start invalidation frontier for the next pass: the earliest step
 /// at which `a` (already applied to `p`) could change any decision of the
 /// pass recorded in `trace`. Decisions at strictly earlier steps replay
-/// verbatim. 0 means the whole pass must be re-solved (AddState moves
-/// every life span; AcceptSlack changes every timing verdict).
+/// verbatim. 0 means the whole pass must be re-solved (AcceptSlack
+/// changes every timing verdict, and nothing replays once negative slack
+/// is accepted).
 ///
 /// The rules are conservative:
+///  * AddState replays only when the re-swept spans kept every priority
+///    rank and release() and moved no deadline() earlier
+///    (Problem::span_shift; otherwise 0). It then invalidates from the
+///    first fatal event, from the old state count minus one minus the
+///    largest pool latency, or from the first saturated SDC bound
+///    (PassTrace::first_saturation_step), whichever is earliest;
 ///  * AddResource invalidates from the first failed binding attempt on
 ///    the grown pool (earlier attempts committed on a first-fit instance
 ///    the growth cannot displace), or everything when the pool flips from
@@ -85,7 +92,8 @@ void apply_action(Problem& p, const Action& a);
 ///  * ForbidBinding invalidates from the first decision involving the op;
 ///  * MoveScc invalidates from the first decision involving any member,
 ///    capped by each member's new start deadline (a shrunken deadline can
-///    trigger a missed-deadline sweep that did not exist before).
+///    trigger a missed-deadline sweep that did not exist before);
+///  * the memory actions (AddMemPort, Rebank, WidenWindow) always give 0.
 int warm_start_frontier(const Problem& p, const Action& a,
                         const PassTrace& trace);
 

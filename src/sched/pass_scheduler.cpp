@@ -71,9 +71,7 @@ class PassRunner final : SolverHost {
         fatal_no_states(id, p_.num_steps - 1, PassEvent::Kind::kFatalFinal);
       }
     }
-    PassOutcome out = binder_.finish();
-    out.trace = std::move(trace_);
-    return out;
+    return finish_pass();
   }
 
  private:

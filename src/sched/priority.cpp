@@ -2,53 +2,32 @@
 
 #include <algorithm>
 
-#include "ir/analysis.hpp"
+#include "sched/problem.hpp"
 
 namespace hls::sched {
 
-std::vector<Priority> compute_priorities(const Problem& p) {
+PriorityOrder compute_priority_order(const Problem& p) {
   const ir::Dfg& dfg = *p.dfg;
-  std::vector<int> local_cones;
-  const std::vector<int>* cones = &p.fanout_cones;
-  if (cones->empty()) {
-    local_cones = ir::fanout_cone_sizes(dfg);
-    cones = &local_cones;
-  }
-  std::vector<Priority> out(dfg.size());
+  std::vector<Priority> priorities(dfg.size());
   for (ir::OpId id : p.ops) {
-    Priority pr;
+    Priority& pr = priorities[id];
     pr.op = id;
     pr.mobility = p.spans.spans[id].mobility();
-    pr.fanout_cone = (*cones)[id];
+    pr.fanout_cone = p.fanout_cones[id];
     const tech::FuClass cls = tech::fu_class_for(dfg, id);
     pr.complexity =
         cls == tech::FuClass::kNone
             ? 0
             : p.lib->fu_delay_ps(cls, tech::resource_width_for(dfg, id));
-    out[id] = pr;
   }
-  return out;
-}
-
-std::vector<int> priority_ranks(const Problem& p,
-                                const std::vector<Priority>& priorities) {
-  std::vector<ir::OpId> order = p.ops;
-  std::sort(order.begin(), order.end(), [&](ir::OpId a, ir::OpId b) {
+  PriorityOrder po;
+  po.order = p.ops;
+  std::sort(po.order.begin(), po.order.end(), [&](ir::OpId a, ir::OpId b) {
     return priorities[a].before(priorities[b]);
   });
-  std::vector<int> rank(p.dfg->size(), static_cast<int>(p.dfg->size()));
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    rank[order[i]] = static_cast<int>(i);
-  }
-  return rank;
-}
-
-PriorityOrder compute_priority_order(const Problem& p) {
-  PriorityOrder po;
-  po.rank = priority_ranks(p, compute_priorities(p));
-  po.order.assign(p.ops.size(), ir::kNoOp);
-  for (ir::OpId id : p.ops) {
-    po.order[static_cast<std::size_t>(po.rank[id])] = id;
+  po.rank.assign(dfg.size(), static_cast<int>(dfg.size()));
+  for (std::size_t i = 0; i < po.order.size(); ++i) {
+    po.rank[po.order[i]] = static_cast<int>(i);
   }
   return po;
 }

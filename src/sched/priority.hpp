@@ -7,9 +7,11 @@
 
 #include <vector>
 
-#include "sched/problem.hpp"
+#include "ir/op.hpp"
 
 namespace hls::sched {
+
+struct Problem;
 
 struct Priority {
   int mobility = 0;        ///< smaller = more urgent
@@ -28,26 +30,21 @@ struct Priority {
   }
 };
 
-/// Priorities for every op in the problem (indexed by OpId; entries for
-/// non-region ops are defaulted).
-std::vector<Priority> compute_priorities(const Problem& p);
-
-/// Total scheduling order as a dense rank per OpId: rank 0 is the op that
-/// `before` puts first; non-region ops get rank dfg.size(). Since `before`
-/// is a strict total order (the op-id tie break), a single int compare on
-/// ranks reproduces it exactly — the ready queues sort on ranks instead of
+/// The total scheduling order both backends serve their ready sets in, as
+/// a dense rank per OpId and its inverse. Rank 0 is the op `before` puts
+/// first; non-region ops get rank dfg.size(). Since `before` is a strict
+/// total order (the op-id tie break), a single int compare on ranks
+/// reproduces it exactly — the ready queues sort on ranks instead of
 /// re-running the four-field comparison per pick.
-std::vector<int> priority_ranks(const Problem& p,
-                                const std::vector<Priority>& priorities);
-
-/// The rank table and its inverse, recomputed once per pass (spans — and
-/// with them mobilities — change between relaxation passes). Both backends
-/// serve their ready sets in this order.
 struct PriorityOrder {
   std::vector<int> rank;        ///< OpId -> scheduling-order rank
   std::vector<ir::OpId> order;  ///< rank -> OpId
 };
 
+/// Sorts the problem's region ops by `Priority::before` over their
+/// current spans. Only mobility depends on the spans, so refresh_spans
+/// (problem.hpp) calls this only when the mobilities did not all shift by
+/// the same amount; the table lives on the Problem and passes read it.
 PriorityOrder compute_priority_order(const Problem& p);
 
 }  // namespace hls::sched

@@ -1,6 +1,7 @@
 #include "sched/problem.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ir/analysis.hpp"
 #include "support/diagnostics.hpp"
@@ -9,8 +10,8 @@ namespace hls::sched {
 
 using ir::OpId;
 
-int Problem::deadline(OpId id) const {
-  int d = spans.spans[id].alap;
+int Problem::deadline_at(OpId id, int alap) const {
+  int d = alap;
   if (pipeline.enabled && scc_of[id] >= 0) {
     const int ws = scc_window_start[static_cast<std::size_t>(scc_of[id])];
     if (ws >= 0) d = std::min(d, ws + pipeline.ii - 1);
@@ -36,13 +37,20 @@ int Problem::release(OpId id) const {
   return r;
 }
 
-Problem build_problem(const ir::Dfg& dfg, const ir::LinearRegion& region,
-                      ir::LatencyBound latency, const tech::Library& lib,
-                      double tclk_ps, PipelineConfig pipeline,
-                      std::size_t num_ports, bool anchor_io,
-                      bool use_mutual_exclusivity,
-                      const mem::MemorySpec* memory) {
+Problem build_problem(
+    const ir::Dfg& dfg, const ir::LinearRegion& region,
+    ir::LatencyBound latency, const tech::Library& lib, double tclk_ps,
+    PipelineConfig pipeline, std::size_t num_ports, bool anchor_io,
+    bool use_mutual_exclusivity, const mem::MemorySpec* memory,
+    std::shared_ptr<const alloc::LifespanContext> span_context) {
+  if (span_context == nullptr) {
+    span_context =
+        std::make_shared<const alloc::LifespanContext>(dfg, region, lib);
+  }
+  HLS_ASSERT(span_context->dfg == &dfg && span_context->lib == &lib,
+             "span context built over a different design or library");
   Problem p;
+  p.span_context = std::move(span_context);
   p.dfg = &dfg;
   p.lib = &lib;
   p.tclk_ps = tclk_ps;
@@ -60,7 +68,7 @@ Problem build_problem(const ir::Dfg& dfg, const ir::LinearRegion& region,
                     : latency.min;
   const int estimate_steps = std::max(latency.max, p.num_steps);
   auto estimate_spans = alloc::compute_lifespans(
-      dfg, region, estimate_steps, lib, tclk_ps, anchor_io);
+      *p.span_context, estimate_steps, tclk_ps, anchor_io);
   auto set = alloc::cluster_resources(dfg, p.ops, lib);
   alloc::EstimateOptions eopts;
   eopts.pipeline_ii = pipeline.enabled ? pipeline.ii : 0;
@@ -165,8 +173,49 @@ void refresh_spans(Problem& p) {
       p.mem_window_min.empty() ? nullptr : &p.mem_window_min;
   const std::vector<int>* wmax =
       p.mem_window_max.empty() ? nullptr : &p.mem_window_max;
-  p.spans = alloc::compute_lifespans(*p.dfg, p.region, p.num_steps, *p.lib,
-                                     p.tclk_ps, p.anchor_io, wmin, wmax);
+  alloc::LifespanResult next = alloc::compute_lifespans(
+      *p.span_context, p.num_steps, p.tclk_ps, p.anchor_io, wmin, wmax);
+
+  // Compare against the spans being replaced. SCC windows and the
+  // accept-slack mode are not span state, so release() and deadline()
+  // move exactly when their span terms do.
+  SpanShift shift;
+  shift.previous_num_steps = p.spans.num_steps;
+  const bool comparable = !p.spans.spans.empty();
+  bool uniform = comparable;  // every mobility moved by the same amount
+  if (comparable) {
+    shift.releases_same = true;
+    shift.deadlines_not_earlier = true;
+    shift.deadline_moved.assign(p.dfg->size(), false);
+    const int old_last = p.spans.num_steps - 1;
+    const int new_last = p.num_steps - 1;
+    int delta = 0;
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+      const OpId id = p.ops[i];
+      const alloc::OpSpan& was = p.spans.spans[id];
+      const alloc::OpSpan& now = next.spans[id];
+      const int d = now.mobility() - was.mobility();
+      if (i == 0) delta = d;
+      uniform = uniform && d == delta;
+      if (now.asap != was.asap ||
+          std::min(now.asap, new_last) != std::min(was.asap, old_last)) {
+        shift.releases_same = false;
+      }
+      const int deadline_was = p.deadline_at(id, was.alap);
+      const int deadline_now = p.deadline_at(id, now.alap);
+      if (deadline_now < deadline_was) shift.deadlines_not_earlier = false;
+      shift.deadline_moved[id] = deadline_now != deadline_was;
+    }
+  }
+  p.spans = std::move(next);
+  // Priorities differ only in mobility, so a uniform shift keeps the order.
+  shift.ranks_same = uniform;
+  if (!uniform) {
+    PriorityOrder po = compute_priority_order(p);
+    shift.ranks_same = po.rank == p.priority.rank;
+    p.priority = std::move(po);
+  }
+  p.span_shift = std::move(shift);
 }
 
 void refresh_memory_banks(Problem& p, int pool_idx) {
@@ -192,19 +241,14 @@ int scc_min_states(const Problem& p, const std::vector<OpId>& scc) {
   std::vector<bool> member(dfg.size(), false);
   for (OpId id : scc) member[id] = true;
 
+  const alloc::LifespanContext& ctx = *p.span_context;
   std::vector<int> state(dfg.size(), 0);
   std::vector<double> arrival(dfg.size(), launch);
   int needed = 1;
-  for (OpId id : dfg.topo_order()) {
+  for (OpId id : ctx.order) {  // SCCs are restricted to region ops
     if (!member[id]) continue;
     const ir::Op& o = dfg.op(id);
-    const tech::FuClass cls = tech::fu_class_for(dfg, id);
-    const double fu =
-        cls == tech::FuClass::kNone
-            ? 0
-            : (lib.fu_latency_cycles(cls) > 0
-                   ? 0
-                   : lib.fu_delay_ps(cls, tech::resource_width_for(dfg, id)));
+    const double fu = ctx.fu_delay[id];
     int st = 0;
     double arr = launch;  // external inputs come from registers
     for (std::size_t i = 0; i < o.operands.size(); ++i) {
@@ -223,8 +267,7 @@ int scc_min_states(const Problem& p, const std::vector<OpId>& scc) {
       ++st;
       out = launch + fu;
     }
-    const int lat =
-        cls == tech::FuClass::kNone ? 0 : lib.fu_latency_cycles(cls);
+    const int lat = ctx.mc_latency[id];
     if (lat > 0) {
       st += lat;
       out = launch;

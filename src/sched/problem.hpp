@@ -3,6 +3,7 @@
 // added, bindings forbidden, SCC windows moved).
 #pragma once
 
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -10,10 +11,26 @@
 #include "alloc/estimate.hpp"
 #include "alloc/lifespan.hpp"
 #include "mem/memory.hpp"
+#include "sched/priority.hpp"
 #include "sched/schedule.hpp"
 #include "tech/library.hpp"
 
 namespace hls::sched {
+
+/// How the most recent refresh_spans moved the spans it replaced. The
+/// AddState warm-start frontier (warm_start_frontier, expert.hpp) keys off
+/// it: a pass prefix can only replay when the new spans serve the same ops
+/// in the same order no earlier and fail none of them sooner.
+struct SpanShift {
+  int previous_num_steps = 0;  ///< step count of the replaced spans; 0 = none
+  bool ranks_same = false;     ///< the priority rank table is unchanged
+  /// No op's release() moved (nor its ASAP, which anchored I/O reads as
+  /// its home step).
+  bool releases_same = false;
+  bool deadlines_not_earlier = false;  ///< no op's deadline() moved earlier
+  /// Per OpId: deadline() moved at all (empty when nothing was compared).
+  std::vector<bool> deadline_moved;
+};
 
 struct Problem {
   const ir::Dfg* dfg = nullptr;
@@ -75,8 +92,8 @@ struct Problem {
                                : mem_bank_of[static_cast<std::size_t>(id)];
   }
 
-  /// Fanout cone sizes (static per DFG), cached so per-pass priority
-  /// recomputation only redoes the span-dependent mobility part.
+  /// Fanout cone sizes (static per DFG), cached so priority recomputation
+  /// only redoes the span-dependent mobility part.
   std::vector<int> fanout_cones;
 
   /// Region ops per resource pool (indexed like resources.pools). Pool
@@ -89,8 +106,17 @@ struct Problem {
     return pool < 0 ? 0 : pool_member_counts[static_cast<std::size_t>(pool)];
   }
 
+  /// Pass-invariant span inputs (dependences, topological order, unit
+  /// delays), shared by problem copies and by the candidates of a
+  /// minimum-II solve.
+  std::shared_ptr<const alloc::LifespanContext> span_context;
   /// Life spans for the current num_steps (refresh after changing it).
   alloc::LifespanResult spans;
+  /// Scheduling-order ranks for the current spans; maintained by
+  /// refresh_spans and read by every pass.
+  PriorityOrder priority;
+  /// What the last refresh_spans changed.
+  SpanShift span_shift;
 
   bool in_region(ir::OpId id) const {
     return id < spans.spans.size() && spans.spans[id].in_region;
@@ -104,7 +130,11 @@ struct Problem {
     return resources.pools[static_cast<std::size_t>(pool)].latency_cycles;
   }
   /// Effective deadline step for an op (ALAP clamped by its SCC window).
-  int deadline(ir::OpId id) const;
+  int deadline(ir::OpId id) const {
+    return deadline_at(id, spans.spans[id].alap);
+  }
+  /// deadline() of the op if its ALAP step were `alap`.
+  int deadline_at(ir::OpId id, int alap) const;
   /// Earliest step for an op (ASAP clamped by its SCC window).
   int release(ir::OpId id) const;
 };
@@ -112,14 +142,19 @@ struct Problem {
 /// Assembles a Problem: clusters + estimates resources (using the latency
 /// bound maximum, per the paper), computes SCCs for pipelined regions, and
 /// fills derived tables. `num_ports` sizes the port-order tables.
-Problem build_problem(const ir::Dfg& dfg, const ir::LinearRegion& region,
-                      ir::LatencyBound latency, const tech::Library& lib,
-                      double tclk_ps, PipelineConfig pipeline,
-                      std::size_t num_ports, bool anchor_io,
-                      bool use_mutual_exclusivity,
-                      const mem::MemorySpec* memory = nullptr);
+/// `span_context` (optional) must have been built over the same dfg,
+/// region and library; problems that share it skip rebuilding it.
+Problem build_problem(
+    const ir::Dfg& dfg, const ir::LinearRegion& region,
+    ir::LatencyBound latency, const tech::Library& lib, double tclk_ps,
+    PipelineConfig pipeline, std::size_t num_ports, bool anchor_io,
+    bool use_mutual_exclusivity, const mem::MemorySpec* memory = nullptr,
+    std::shared_ptr<const alloc::LifespanContext> span_context = nullptr);
 
-/// Recomputes `spans` for the current num_steps (and window tables).
+/// Recomputes `spans` for the current num_steps (and window tables) by
+/// re-running the ASAP/ALAP sweeps over `span_context`, re-sorts
+/// `priority` unless every mobility shifted by the same amount, and
+/// records the change in `span_shift`.
 void refresh_spans(Problem& p);
 
 /// Recomputes `mem_bank_of` for the ops of memory pool `pool` from the

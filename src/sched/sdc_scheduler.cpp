@@ -151,8 +151,7 @@ class SdcPass final : SolverHost {
         fatal_no_states(id, p_.num_steps - 1, PassEvent::Kind::kFatalFinal);
       }
     }
-    PassOutcome out = binder_.finish();
-    out.trace = std::move(trace_);
+    PassOutcome out = finish_pass();
     out.relax_steps = relax_steps_;
     return out;
   }
@@ -171,8 +170,10 @@ class SdcPass final : SolverHost {
   /// no binder state, and no deadline. Op bounds saturate at num_steps
   /// ("no feasible start"); anchor bounds at num_steps + max pool
   /// latency. Both clamps also bound propagation in the
-  /// (driver-precluded) event of a positive cycle.
-  void relax(std::deque<OpId>& queue, std::vector<OpId>* changed) {
+  /// (driver-precluded) event of a positive cycle. `step` is the step
+  /// whose end triggered the wave (0 for the initial solve); the first
+  /// one that clamps is recorded in the trace.
+  void relax(std::deque<OpId>& queue, std::vector<OpId>* changed, int step) {
     while (!queue.empty()) {
       const OpId u = queue.front();
       queue.pop_front();
@@ -181,6 +182,10 @@ class SdcPass final : SolverHost {
         ++relax_steps_;
         const bool anchor = is_anchor(edge.to);
         const int cap = anchor ? anchor_cap_ : p_.num_steps;
+        if (x_[u] + edge.weight > cap) {
+          trace_.first_saturation_step =
+              std::min(trace_.first_saturation_step, step);
+        }
         const int bound = std::min(x_[u] + edge.weight, cap);
         if (bound <= x_[edge.to]) continue;
         // A committed op's start is final; constraints that would move it
@@ -210,7 +215,7 @@ class SdcPass final : SolverHost {
       in_queue_[id] = 1;
       queue.push_back(id);
     }
-    relax(queue, nullptr);
+    relax(queue, nullptr, 0);
   }
 
   /// Re-buckets every op in `changed_scratch_` once, at its now-final
@@ -325,7 +330,7 @@ class SdcPass final : SolverHost {
       }
     }
     changed_scratch_.clear();
-    relax(queue, &changed_scratch_);
+    relax(queue, &changed_scratch_, e);
     // A refused op raised exactly to e + 1 stays in the active set and is
     // retried next step; one whose bound the wave pushed further appears
     // in `changed_scratch_` and is re-bucketed at its new earliest step

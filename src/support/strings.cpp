@@ -47,4 +47,10 @@ std::string fmt_fixed(double value, int digits) {
   return buf;
 }
 
+std::string indexed_name(std::string_view prefix, long long index) {
+  std::string s(prefix);
+  s += std::to_string(index);
+  return s;
+}
+
 }  // namespace hls

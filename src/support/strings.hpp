@@ -47,4 +47,9 @@ std::string pad_right(std::string_view text, std::size_t width);
 /// Formats a double with `digits` digits after the decimal point.
 std::string fmt_fixed(double value, int digits);
 
+/// `prefix` followed by the decimal `index` ("x3"): the indexed port and
+/// value names the workload generators use. Built by appending; gcc 12 at
+/// -O3 reports a false -Wrestrict overlap on `"x" + std::to_string(i)`.
+std::string indexed_name(std::string_view prefix, long long index);
+
 }  // namespace hls

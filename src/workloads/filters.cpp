@@ -1,4 +1,5 @@
 #include "frontend/builder.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hls::workloads {
@@ -15,7 +16,7 @@ int Workload::op_count() const {
 }
 
 Workload make_fir(int taps, int data_width) {
-  Builder b("fir" + std::to_string(taps));
+  Builder b(indexed_name("fir", taps));
   const auto w = static_cast<std::uint8_t>(data_width);
   auto x_in = b.in("x", int_ty(w));
   auto y_out = b.out("y", int_ty(32));
@@ -23,7 +24,7 @@ Workload make_fir(int taps, int data_width) {
   // Carried delay line x[n-1] .. x[n-taps+1].
   std::vector<VarHandle> delay;
   for (int i = 1; i < taps; ++i) {
-    auto v = b.var("z" + std::to_string(i), int_ty(w));
+    auto v = b.var(indexed_name("z", i), int_ty(w));
     b.set(v, b.c(0, int_ty(w)));
     delay.push_back(v);
   }
@@ -38,7 +39,7 @@ Workload make_fir(int taps, int data_width) {
   for (int i = 0; i < taps; ++i) {
     const std::int64_t coef = 2 * ((i * 37) % 31) + 3;
     auto prod = b.mul(b.sext(window[static_cast<std::size_t>(i)], 32),
-                      b.c(coef), "mac" + std::to_string(i));
+                      b.c(coef), indexed_name("mac", i));
     acc = i == 0 ? prod : b.add(acc, prod);
   }
   b.write(y_out, acc);
@@ -53,7 +54,7 @@ Workload make_fir(int taps, int data_width) {
   b.set_latency(loop, 1, 64);
 
   Workload out;
-  out.name = "fir" + std::to_string(taps);
+  out.name = indexed_name("fir", taps);
   out.loop = loop;
   out.module = b.finish();
   return out;
@@ -69,7 +70,7 @@ Workload make_ewf() {
 
   std::vector<VarHandle> st;
   for (int i = 0; i < 7; ++i) {
-    auto v = b.var("s" + std::to_string(i), int_ty(32));
+    auto v = b.var(indexed_name("s", i), int_ty(32));
     b.set(v, b.c(0));
     st.push_back(v);
   }
@@ -146,7 +147,7 @@ Workload make_arf() {
 
   std::vector<VarHandle> st;
   for (int i = 0; i < 4; ++i) {
-    auto v = b.var("r" + std::to_string(i), int_ty(32));
+    auto v = b.var(indexed_name("r", i), int_ty(32));
     b.set(v, b.c(0));
     st.push_back(v);
   }
@@ -161,7 +162,7 @@ Workload make_arf() {
                         b.get(st[3])};
   for (int i = 0; i < 16; ++i) {
     prods.push_back(b.mul(srcs[static_cast<std::size_t>(i % srcs.size())],
-                          b.c(coefs[i]), "p" + std::to_string(i)));
+                          b.c(coefs[i]), indexed_name("p", i)));
   }
   // Two adder trees of 8 products each (7 + 5 = 12 additions total: the
   // second tree reuses two partial sums from the first).
@@ -210,7 +211,7 @@ Workload make_crc32() {
     auto lsb = b.bits(cur, 0, 0);
     auto shifted = b.shr(cur, b.c(1, uint_ty(6)));
     auto xored = b.bxor(shifted, b.c(0xEDB88320, uint_ty(32)));
-    cur = b.mux(lsb, xored, shifted, "bit" + std::to_string(i));
+    cur = b.mux(lsb, xored, shifted, indexed_name("bit", i));
   }
   b.set(crc, cur);
   b.write(c_out, b.bxor(cur, b.c(0xFFFFFFFF, uint_ty(32))));

@@ -1,4 +1,5 @@
 #include "frontend/builder.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hls::workloads {
@@ -13,7 +14,7 @@ Workload make_conv3x3() {
   Builder b("conv3x3");
   std::vector<frontend::PortHandle> win;
   for (int i = 0; i < 9; ++i) {
-    win.push_back(b.in("w" + std::to_string(i), int_ty(16)));
+    win.push_back(b.in(indexed_name("w", i), int_ty(16)));
   }
   auto p_out = b.out("pix", int_ty(32));
 
@@ -22,7 +23,7 @@ Workload make_conv3x3() {
   Val acc{};
   for (int i = 0; i < 9; ++i) {
     auto prod = b.mul(b.sext(b.read(win[static_cast<std::size_t>(i)]), 32),
-                      b.c(kernel[i]), "k" + std::to_string(i));
+                      b.c(kernel[i]), indexed_name("k", i));
     acc = i == 0 ? prod : b.add(acc, prod);
   }
   b.write(p_out, acc);
@@ -43,7 +44,7 @@ Workload make_sobel() {
   Builder b("sobel");
   std::vector<frontend::PortHandle> win;
   for (int i = 0; i < 9; ++i) {
-    win.push_back(b.in("p" + std::to_string(i), int_ty(16)));
+    win.push_back(b.in(indexed_name("p", i), int_ty(16)));
   }
   auto m_out = b.out("mag", int_ty(32));
 

@@ -7,6 +7,7 @@
 //   transpose4   same-bank column reads  -> re-bank
 //   stencil_row  early output contract   -> widen-window
 #include "frontend/builder.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hls::workloads {
@@ -24,7 +25,7 @@ Workload make_banked_fir() {
   Builder b("banked_fir");
   std::vector<PortHandle> xs;
   for (int i = 0; i < 8; ++i) {
-    xs.push_back(b.in("x" + std::to_string(i), int_ty(16)));
+    xs.push_back(b.in(indexed_name("x", i), int_ty(16)));
   }
   auto y_out = b.out("y", int_ty(32));
 
@@ -33,7 +34,7 @@ Workload make_banked_fir() {
   for (int i = 0; i < 8; ++i) {
     const std::int64_t coef = 2 * ((i * 29) % 23) + 3;
     auto prod = b.mul(b.sext(b.read(xs[static_cast<std::size_t>(i)]), 32),
-                      b.c(coef), "mac" + std::to_string(i));
+                      b.c(coef), indexed_name("mac", i));
     acc = i == 0 ? prod : b.add(acc, prod);
   }
   b.write(y_out, acc);
@@ -67,11 +68,11 @@ Workload make_transpose4() {
   Builder b("transpose4");
   std::vector<PortHandle> as;
   for (int i = 0; i < 16; ++i) {
-    as.push_back(b.in("a" + std::to_string(i), int_ty(16)));
+    as.push_back(b.in(indexed_name("a", i), int_ty(16)));
   }
   std::vector<PortHandle> ss;
   for (int r = 0; r < 4; ++r) {
-    ss.push_back(b.out("s" + std::to_string(r), int_ty(32)));
+    ss.push_back(b.out(indexed_name("s", r), int_ty(32)));
   }
 
   auto loop = b.begin_counted(256);

@@ -1,6 +1,7 @@
 #include <cmath>
 
 #include "frontend/builder.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hls::workloads {
@@ -27,10 +28,10 @@ Workload make_dct_like(const std::string& name, bool inverse,
   std::vector<frontend::PortHandle> ins;
   std::vector<frontend::PortHandle> outs;
   for (int i = 0; i < 8; ++i) {
-    ins.push_back(b.in("x" + std::to_string(i), int_ty(w)));
+    ins.push_back(b.in(indexed_name("x", i), int_ty(w)));
   }
   for (int i = 0; i < 8; ++i) {
-    outs.push_back(b.out("y" + std::to_string(i), int_ty(w)));
+    outs.push_back(b.out(indexed_name("y", i), int_ty(w)));
   }
 
   // One column of the 8-point transform per iteration (the paper's
@@ -47,12 +48,12 @@ Workload make_dct_like(const std::string& name, bool inverse,
       const std::int64_t c =
           inverse ? dct_coef(n, k, true) : dct_coef(k, n, false);
       auto prod = b.mul(x[static_cast<std::size_t>(inverse ? n : n)], b.c(c),
-                        "m" + std::to_string(k) + "_" + std::to_string(n));
+                        indexed_name(indexed_name("m", k) + "_", n));
       acc = n == 0 ? prod : b.add(acc, prod);
     }
     auto scaled = b.shr(acc, b.c(12, ir::uint_ty(5)));
     b.write(outs[static_cast<std::size_t>(k)],
-            b.trunc(scaled, w, "out" + std::to_string(k)));
+            b.trunc(scaled, w, indexed_name("out", k)));
   }
   b.wait();
   b.end_loop();
@@ -81,12 +82,12 @@ Workload make_fft8_stage() {
   Builder b("fft8");
   std::vector<frontend::PortHandle> in_re, in_im, out_re, out_im;
   for (int i = 0; i < 8; ++i) {
-    in_re.push_back(b.in("re" + std::to_string(i), int_ty(16)));
-    in_im.push_back(b.in("im" + std::to_string(i), int_ty(16)));
+    in_re.push_back(b.in(indexed_name("re", i), int_ty(16)));
+    in_im.push_back(b.in(indexed_name("im", i), int_ty(16)));
   }
   for (int i = 0; i < 8; ++i) {
-    out_re.push_back(b.out("ore" + std::to_string(i), int_ty(16)));
-    out_im.push_back(b.out("oim" + std::to_string(i), int_ty(16)));
+    out_re.push_back(b.out(indexed_name("ore", i), int_ty(16)));
+    out_im.push_back(b.out(indexed_name("oim", i), int_ty(16)));
   }
 
   auto loop = b.begin_counted(128);

@@ -50,8 +50,9 @@ OpId find_op(const ir::Module& m, std::string_view name) {
 
 TEST(Lifespan, Example1At3StatesMatchesHandAnalysis) {
   Example1Fixture f;
-  const auto ls = compute_lifespans(f.module.thread.dfg, f.region, 3,
-                                    artisan90(), 1600, /*anchor_io=*/false);
+  const auto ls = compute_lifespans(
+      LifespanContext(f.module.thread.dfg, f.region, artisan90()), 3, 1600,
+      /*anchor_io=*/false);
   ASSERT_TRUE(ls.feasible);
   const auto& dfg = f.module.thread.dfg;
   const auto span = [&](std::string_view name) {
@@ -77,18 +78,21 @@ TEST(Lifespan, Example1At3StatesMatchesHandAnalysis) {
 
 TEST(Lifespan, InfeasibleWhenTooFewStates) {
   Example1Fixture f;
-  const auto ls = compute_lifespans(f.module.thread.dfg, f.region, 1,
-                                    artisan90(), 1600, false);
+  const auto ls = compute_lifespans(
+      LifespanContext(f.module.thread.dfg, f.region, artisan90()), 1, 1600,
+      false);
   EXPECT_FALSE(ls.feasible);
   EXPECT_NE(ls.first_infeasible, ir::kNoOp);
 }
 
 TEST(Lifespan, MoreStatesIncreaseMobility) {
   Example1Fixture f;
-  const auto l3 = compute_lifespans(f.module.thread.dfg, f.region, 3,
-                                    artisan90(), 1600, false);
-  const auto l5 = compute_lifespans(f.module.thread.dfg, f.region, 5,
-                                    artisan90(), 1600, false);
+  const auto l3 = compute_lifespans(
+      LifespanContext(f.module.thread.dfg, f.region, artisan90()), 3, 1600,
+      false);
+  const auto l5 = compute_lifespans(
+      LifespanContext(f.module.thread.dfg, f.region, artisan90()), 5, 1600,
+      false);
   const OpId neq = find_op(f.module, "neq_op");
   EXPECT_GT(l5.spans[neq].mobility(), l3.spans[neq].mobility());
 }
@@ -96,16 +100,19 @@ TEST(Lifespan, MoreStatesIncreaseMobility) {
 TEST(Lifespan, FasterClockForcesMoreSteps) {
   // At Tclk=1100 the chain mul1->add no longer fits one cycle.
   Example1Fixture f;
-  const auto ls = compute_lifespans(f.module.thread.dfg, f.region, 6,
-                                    artisan90(), 1100, false);
+  const auto ls = compute_lifespans(
+      LifespanContext(f.module.thread.dfg, f.region, artisan90()), 6, 1100,
+      false);
   ASSERT_TRUE(ls.feasible);
   EXPECT_GE(ls.spans[find_op(f.module, "add_op")].asap, 1);
 }
 
 TEST(Lifespan, ClockTooSlowForMultiplierThrows) {
   Example1Fixture f;
-  EXPECT_THROW(compute_lifespans(f.module.thread.dfg, f.region, 8,
-                                 artisan90(), 900, false),
+  EXPECT_THROW(
+      compute_lifespans(
+          LifespanContext(f.module.thread.dfg, f.region, artisan90()), 8, 900,
+          false),
                InternalError);
 }
 
@@ -119,8 +126,9 @@ TEST(Lifespan, AnchoredIoPinsReadsToHomeStep) {
   b.write(out, x);
   auto m = b.finish();
   const auto region = ir::linearize(m.thread.tree, m.thread.tree.root());
-  const auto ls = compute_lifespans(m.thread.dfg, region, 2, artisan90(),
-                                    1600, /*anchor_io=*/true);
+  const auto ls = compute_lifespans(
+      LifespanContext(m.thread.dfg, region, artisan90()), 2, 1600,
+      /*anchor_io=*/true);
   const OpId r1 = find_op(m, "r1");
   EXPECT_EQ(ls.spans[r1].asap, 1);
   EXPECT_EQ(ls.spans[r1].alap, 1);
@@ -184,8 +192,8 @@ TEST(Estimate, Example1SequentialNeedsOneMultiplier) {
   // suggests that a single multiplier suffices."
   Example1Fixture f;
   const auto& dfg = f.module.thread.dfg;
-  const auto ls = compute_lifespans(dfg, f.region, 3, artisan90(), 1600,
-                                    false);
+  const auto ls = compute_lifespans(
+      LifespanContext(dfg, f.region, artisan90()), 3, 1600, false);
   auto set = cluster_resources(dfg, f.region.all_ops(), artisan90());
   set = estimate_initial_counts(dfg, std::move(set), ls, 3);
   for (const auto& p : set.pools) {
@@ -200,8 +208,8 @@ TEST(Estimate, Example1PipelinedII2NeedsTwoMultipliers) {
   // shared in states s1 and s3, hence two mul resources must be created."
   Example1Fixture f;
   const auto& dfg = f.module.thread.dfg;
-  const auto ls = compute_lifespans(dfg, f.region, 3, artisan90(), 1600,
-                                    false);
+  const auto ls = compute_lifespans(
+      LifespanContext(dfg, f.region, artisan90()), 3, 1600, false);
   auto set = cluster_resources(dfg, f.region.all_ops(), artisan90());
   EstimateOptions opts;
   opts.pipeline_ii = 2;
@@ -215,8 +223,8 @@ TEST(Estimate, Example1PipelinedII1NeedsThreeMultipliers) {
   // Paper Example 3: II=1 makes all edges equivalent; 3 multipliers.
   Example1Fixture f;
   const auto& dfg = f.module.thread.dfg;
-  const auto ls = compute_lifespans(dfg, f.region, 3, artisan90(), 1600,
-                                    false);
+  const auto ls = compute_lifespans(
+      LifespanContext(dfg, f.region, artisan90()), 3, 1600, false);
   auto set = cluster_resources(dfg, f.region.all_ops(), artisan90());
   EstimateOptions opts;
   opts.pipeline_ii = 1;
@@ -245,8 +253,8 @@ TEST(Estimate, MutualExclusivityReducesDemand) {
   pred->run(m);
   const auto region = ir::linearize(m.thread.tree, m.thread.tree.root());
   // One state: both branch multiplications compete for the same step.
-  const auto ls = compute_lifespans(m.thread.dfg, region, 1, artisan90(),
-                                    1600, false);
+  const auto ls = compute_lifespans(
+      LifespanContext(m.thread.dfg, region, artisan90()), 1, 1600, false);
   ASSERT_TRUE(ls.feasible);
   auto set = cluster_resources(m.thread.dfg, region.all_ops(), artisan90());
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -208,12 +209,13 @@ TEST(SchedGolden, WarmStartedPassesMatchColdPassesBitExactly) {
   auto designs = workloads::suite();
   // The suite kernels are small; warm starts earn their keep (and hit the
   // AddResource/ForbidBinding frontier rules) on relaxation-heavy sized
-  // designs, so pin one of the bench's random CDFGs too.
+  // designs, so pin one of the bench's random CDFGs too. Its recurrences
+  // need II >= 8; there it climbs a ~100-pass add-state ladder.
   workloads::RandomCdfgOptions sized;
   sized.target_ops = 400;
   designs.push_back(workloads::make_random_cdfg(400, sized));
   for (auto& w : designs) {
-    for (int ii : {0, 2}) {
+    for (int ii : {0, 2, 8}) {
       workloads::Workload wl = w;  // straighten mutates the module
       pipeline::straighten(wl.module);
       const auto region = ir::linearize(wl.module.thread.tree, wl.loop);
@@ -245,19 +247,15 @@ TEST(SchedGolden, WarmStartedPassesMatchColdPassesBitExactly) {
 // (trace replay up to the invalidation frontier, plus re-derived
 // constraint bounds for the prefix); the A/B mirrors the list suite but
 // covers II ∈ {0, 1, 2} and pins a relaxation-heavy sized design so the
-// AddResource/ForbidBinding frontier rules fire for the SDC replay too.
+// AddState/AddResource/ForbidBinding frontier rules fire for the SDC
+// replay too (pipelined, where bounds saturate, as well as sequential).
 TEST(SchedGolden, SdcWarmStartedPassesMatchColdPassesBitExactly) {
   auto designs = workloads::suite();
   workloads::RandomCdfgOptions sized;
   sized.target_ops = 400;
   designs.push_back(workloads::make_random_cdfg(400, sized));
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    const auto& w = designs[i];
-    // The appended 400-op design is expensive through the SDC core; its
-    // relaxation-heavy sequential run alone covers the frontier rules.
-    const bool sized_design = i + 1 == designs.size();
-    for (int ii : {0, 1, 2}) {
-      if (sized_design && ii > 0) continue;
+  for (const auto& w : designs) {
+    for (int ii : {0, 1, 2, 8}) {
       workloads::Workload wl = w;  // straighten mutates the module
       pipeline::straighten(wl.module);
       const auto region = ir::linearize(wl.module.thread.tree, wl.loop);
@@ -283,6 +281,76 @@ TEST(SchedGolden, SdcWarmStartedPassesMatchColdPassesBitExactly) {
       EXPECT_EQ(scheduler_fingerprint(r_cold), scheduler_fingerprint(r_warm))
           << w.name << " at II=" << ii << " [sdc]";
     }
+  }
+}
+
+// Minimum-II solves run the longest add-state ladders — every failed
+// candidate II climbs its latency bound one relaxation at a time — so the
+// A/B covers them on both backends across the suite. Only the timing-query
+// count may differ.
+TEST(SchedGolden, MinIiWarmStartedSolvesMatchColdSolvesBitExactly) {
+  for (const auto& w : workloads::suite()) {
+    for (const auto backend :
+         {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
+      workloads::Workload wl = w;  // straighten mutates the module
+      pipeline::straighten(wl.module);
+      const auto region = ir::linearize(wl.module.thread.tree, wl.loop);
+      const auto latency = wl.module.thread.tree.stmt(wl.loop).latency;
+
+      sched::SchedulerOptions cold;
+      cold.backend = backend;
+      cold.warm_start = false;
+      cold.memory = &wl.memory;
+      cold.pipeline = {true, 1};
+      cold.solve_min_ii = true;
+      sched::SchedulerOptions warm = cold;
+      warm.warm_start = true;
+
+      const auto r_cold = sched::schedule_region(
+          wl.module.thread.dfg, region, latency, wl.module.ports.size(),
+          cold);
+      const auto r_warm = sched::schedule_region(
+          wl.module.thread.dfg, region, latency, wl.module.ports.size(),
+          warm);
+      const std::string label =
+          strf(w.name, " [", sched::backend_name(backend), "]");
+      EXPECT_EQ(scheduler_fingerprint(r_cold), scheduler_fingerprint(r_warm))
+          << label;
+      EXPECT_EQ(r_cold.min_ii, r_warm.min_ii) << label;
+      EXPECT_EQ(r_cold.engine_commits, r_warm.engine_commits) << label;
+      EXPECT_LE(r_warm.timing_queries, r_cold.timing_queries) << label;
+    }
+  }
+}
+
+// arf at II=2 never schedules: the ladder runs until the pass budget is
+// spent, so every warm pass of a 128-pass ladder has to replay exactly.
+TEST(SchedGolden, PassBudgetExhaustionIsIdenticalWarmAndCold) {
+  workloads::Workload wl = workloads::make_arf();
+  pipeline::straighten(wl.module);
+  const auto region = ir::linearize(wl.module.thread.tree, wl.loop);
+  const auto latency = wl.module.thread.tree.stmt(wl.loop).latency;
+  for (const auto backend :
+       {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
+    sched::SchedulerOptions cold;
+    cold.backend = backend;
+    cold.warm_start = false;
+    cold.pipeline = {true, 2};
+    sched::SchedulerOptions warm = cold;
+    warm.warm_start = true;
+
+    const auto r_cold =
+        sched::schedule_region(wl.module.thread.dfg, region, latency,
+                               wl.module.ports.size(), cold);
+    const auto r_warm =
+        sched::schedule_region(wl.module.thread.dfg, region, latency,
+                               wl.module.ports.size(), warm);
+    const char* label = sched::backend_name(backend);
+    EXPECT_EQ(r_cold.failure_code, "pass_budget_exhausted") << label;
+    EXPECT_EQ(r_cold.passes, cold.max_passes) << label;
+    EXPECT_EQ(scheduler_fingerprint(r_cold), scheduler_fingerprint(r_warm))
+        << label;
+    EXPECT_LT(r_warm.timing_queries, r_cold.timing_queries) << label;
   }
 }
 
@@ -625,10 +693,12 @@ TEST(SchedMinIi, SolvedIiMatchesExhaustiveSweepOnBothBackends) {
       // solver searches ([1, latency.max]).
       int sweep_ii = -1;
       sched::SchedulerResult sweep_result;
+      std::vector<std::uint64_t> sweep_queries(1, 0);  // indexed by II
       for (int ii = 1; ii <= std::max(1, latency.max); ++ii) {
         sched::SchedulerOptions o = base;
         o.pipeline = {true, ii};
         auto r = run(o);
+        sweep_queries.push_back(r.timing_queries);
         if (r.success) {
           sweep_ii = ii;
           sweep_result = std::move(r);
@@ -651,6 +721,19 @@ TEST(SchedMinIi, SolvedIiMatchesExhaustiveSweepOnBothBackends) {
       ASSERT_TRUE(r_min.success) << label << ": " << r_min.failure_reason;
       EXPECT_EQ(r_min.min_ii, sweep_ii) << label;
       EXPECT_EQ(r_min.schedule.pipeline.ii, sweep_ii) << label;
+      // Work counters cover every candidate attempt, failed ones included:
+      // the solve ran the fixed-II solves from the probe's first feasible
+      // candidate up to the solved II.
+      int start = 0;
+      ASSERT_EQ(std::sscanf(r_min.history.front().action.c_str(),
+                            "min-II solve: probe-feasible from II=%d", &start),
+                1)
+          << r_min.history.front().action;
+      std::uint64_t attempted_queries = 0;
+      for (int ii = start; ii <= sweep_ii; ++ii) {
+        attempted_queries += sweep_queries[static_cast<std::size_t>(ii)];
+      }
+      EXPECT_EQ(r_min.timing_queries, attempted_queries) << label;
       // Modulo the min-II narration record, the winning attempt IS the
       // fixed-II solve at the solved II — schedule, arrivals, passes.
       sched::SchedulerResult a = std::move(r_min);

@@ -6,12 +6,21 @@
 
 #include "support/diagnostics.hpp"
 
+#include <bit>
+#include <climits>
+#include <cstdint>
+#include <optional>
+#include <string>
+
 #include "frontend/builder.hpp"
 #include "opt/pass.hpp"
+#include "pipeline/straighten.hpp"
+#include "sched/backend.hpp"
 #include "sched/driver.hpp"
 #include "support/rng.hpp"
 #include "tech/library.hpp"
 #include "workloads/example1.hpp"
+#include "workloads/workloads.hpp"
 
 namespace hls::sched {
 namespace {
@@ -431,6 +440,270 @@ TEST_P(RandomDagPipelined, PipelinedSchedulesRespectEquivalentEdges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagPipelined, ::testing::Range(0, 12));
+
+// Warm-started ladders match cold ones on random recurrences mixing
+// multi-cycle dividers, multipliers and chained ALU ops, at several IIs on
+// both backends: schedules, arrivals and the full restraint/action trace.
+class RandomDagWarmStart : public ::testing::TestWithParam<int> {};
+
+std::string ladder_fingerprint(const SchedulerResult& r) {
+  std::string s = std::to_string(r.success) + " " + std::to_string(r.passes) +
+                  " " + r.failure_reason + "\n";
+  for (std::size_t id = 0; id < r.schedule.placement.size(); ++id) {
+    const OpPlacement& pl = r.schedule.placement[id];
+    if (!pl.scheduled) continue;
+    s += std::to_string(id) + ":" + std::to_string(pl.step) + "," +
+         std::to_string(pl.pool) + "," + std::to_string(pl.instance) + "," +
+         std::to_string(std::bit_cast<std::uint64_t>(pl.arrival_ps)) + "\n";
+  }
+  for (const PassRecord& rec : r.history) {
+    for (const std::string& restraint : rec.restraints) s += restraint + ";";
+    s += "-> " + rec.action + "\n";
+  }
+  return s;
+}
+
+TEST_P(RandomDagWarmStart, WarmLaddersMatchColdLadders) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
+  Builder b("rdiv");
+  auto in_a = b.in("a", int_ty(32));
+  auto in_b = b.in("bb", int_ty(32));
+  auto out = b.out("y", int_ty(32));
+  auto acc = b.var("acc", int_ty(32));
+  b.set(acc, b.c(1));
+  auto loop = b.begin_counted(8);
+  std::vector<frontend::Val> values{b.read(in_a), b.read(in_b), b.get(acc)};
+  const int n_ops = static_cast<int>(rng.uniform(6, 30));
+  const auto pick = [&] {
+    return values[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(values.size()) - 1))];
+  };
+  for (int i = 0; i < n_ops; ++i) {
+    const auto x = pick();
+    const auto y = pick();
+    switch (rng.uniform(0, 4)) {
+      case 0: values.push_back(b.add(x, y)); break;
+      case 1: values.push_back(b.mul(x, y)); break;
+      case 2: values.push_back(b.div(x, y)); break;
+      case 3: values.push_back(b.sub(x, y)); break;
+      default: values.push_back(b.bxor(x, y)); break;
+    }
+  }
+  b.set(acc, b.add(b.get(acc), values.back()));
+  b.write(out, values.back());
+  b.wait();
+  b.end_loop();
+  b.set_latency(loop, 1, 40);
+  auto m = b.finish();
+  const auto region = ir::linearize(m.thread.tree, loop);
+  for (int ii : {0, 2, 3, 4, 6}) {
+    for (const auto backend : {BackendKind::kList, BackendKind::kSdc}) {
+      SchedulerOptions cold;
+      cold.backend = backend;
+      cold.warm_start = false;
+      if (ii > 0) cold.pipeline = {true, ii};
+      SchedulerOptions warm = cold;
+      warm.warm_start = true;
+      const auto rc = schedule_region(m.thread.dfg, region, {1, 40},
+                                      m.ports.size(), cold);
+      const auto rw = schedule_region(m.thread.dfg, region, {1, 40},
+                                      m.ports.size(), warm);
+      EXPECT_EQ(ladder_fingerprint(rc), ladder_fingerprint(rw))
+          << "II=" << ii << " [" << backend_name(backend) << "]";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagWarmStart, ::testing::Range(0, 12));
+
+// ---- AddState warm-start frontier ---------------------------------------------------
+
+/// One relaxation ladder walked by hand: cold passes, the expert's choices,
+/// and a callback after every applied AddState with the failed pass's trace.
+struct AddStateLadder {
+  workloads::Workload w;
+  ir::LinearRegion region;
+  ir::LatencyBound latency;
+  SchedulerOptions opts;
+
+  AddStateLadder(workloads::Workload wl, BackendKind backend, int ii)
+      : w(std::move(wl)) {
+    pipeline::straighten(w.module);
+    region = ir::linearize(w.module.thread.tree, w.loop);
+    latency = w.module.thread.tree.stmt(w.loop).latency;
+    opts.backend = backend;
+    if (ii > 0) opts.pipeline = {true, ii};
+  }
+
+  template <typename Check>
+  void walk(Check check) const {
+    Problem p = build_problem(w.module.thread.dfg, region, latency,
+                              tech::artisan90(), opts.tclk_ps, opts.pipeline,
+                              w.module.ports.size(), false, true, &w.memory);
+    timing::TimingEngine eng(tech::artisan90(), opts.tclk_ps);
+    const auto backend = make_backend(p, opts);
+    ExpertOptions eopts;  // the driver's latency bound for pipelined loops
+    eopts.latency = latency;
+    if (opts.pipeline.enabled) {
+      eopts.latency.min = std::max(latency.min, opts.pipeline.ii + 1);
+      eopts.latency.max = std::max(latency.max, eopts.latency.min);
+    }
+    for (int pass = 0; pass < opts.max_passes; ++pass) {
+      PassOutcome out = backend->run_pass(eng, nullptr);
+      if (out.success) return;
+      const ExpertDecision d = choose_action(p, out, eopts, eng);
+      if (!d.has_action) return;
+      apply_action(p, d.action);
+      if (d.action.kind == ActionKind::kAddState) check(p, d.action, out.trace);
+    }
+  }
+};
+
+/// Step of the first fatal event in `trace` whose op passes `pick`.
+template <typename Pick>
+int first_fatal_step(const PassTrace& trace, Pick pick) {
+  for (const PassEvent& ev : trace.events) {
+    if (ev.kind != PassEvent::Kind::kCommit &&
+        ev.kind != PassEvent::Kind::kDefer && pick(ev.op)) {
+      return ev.step;
+    }
+  }
+  return INT_MAX;
+}
+
+int max_pool_latency(const Problem& p) {
+  int lat = 0;
+  for (const auto& pool : p.resources.pools) {
+    lat = std::max(lat, pool.latency_cycles);
+  }
+  return lat;
+}
+
+// The frontier stops at the first fatal event of an op whose deadline
+// moved (a later deadline can turn it into a defer), short of the old last
+// state by the largest unit latency, and at the first saturated SDC bound.
+// Sequential regions move every deadline, so there it never passes the
+// first fatal step at all; arf at II=2 keeps failing SCC members whose
+// pinned windows hold their deadlines, and those fatals replay.
+TEST(AddStateFrontier, StopsAtTheFirstMovedDeadlineFatalAndAtSaturation) {
+  workloads::RandomCdfgOptions sized;
+  sized.target_ops = 400;
+  for (const auto backend : {BackendKind::kList, BackendKind::kSdc}) {
+    for (const auto& [w, ii] :
+         {std::pair{workloads::make_idct8(), 8},
+          std::pair{workloads::make_random_cdfg(400, sized), 0},
+          std::pair{workloads::make_arf(), 2}}) {
+      const std::string label =
+          w.name + " [" + backend_name(backend) + "] II=" + std::to_string(ii);
+      int add_states = 0;
+      int replaying = 0;
+      int past_first_fatal = 0;
+      AddStateLadder(w, backend, ii).walk(
+          [&](const Problem& p, const Action& a, const PassTrace& trace) {
+            ++add_states;
+            const int f = warm_start_frontier(p, a, trace);
+            const auto& moved = p.span_shift.deadline_moved;
+            EXPECT_LE(f, first_fatal_step(trace, [&](OpId id) {
+                        return moved.empty() || moved[id];
+                      })) << label;
+            EXPECT_LE(f, trace.first_saturation_step) << label;
+            if (f > first_fatal_step(trace, [](OpId) { return true; })) {
+              ++past_first_fatal;
+            }
+            if (f == 0) return;
+            ++replaying;
+            EXPECT_LE(f, p.span_shift.previous_num_steps - 1 -
+                             max_pool_latency(p))
+                << label;
+            EXPECT_TRUE(p.span_shift.ranks_same) << label;
+            EXPECT_TRUE(p.span_shift.releases_same) << label;
+            EXPECT_TRUE(p.span_shift.deadlines_not_earlier) << label;
+          });
+      EXPECT_GT(add_states, 0) << label;
+      EXPECT_GT(replaying, 0) << label << ": no add-state replayed anything";
+      if (ii == 0) {
+        EXPECT_EQ(past_first_fatal, 0) << label;
+      }
+      if (w.name == "arf") {
+        EXPECT_GT(past_first_fatal, 0) << label << ": no pinned fatal replayed";
+      }
+    }
+  }
+}
+
+// Each precondition of the rule on its own forces a cold pass.
+TEST(AddStateFrontier, RankReleaseDeadlineOrAcceptedSlackGivesZero) {
+  struct Captured {
+    Problem p;
+    Action a;
+    PassTrace trace;
+  };
+  std::optional<Captured> hit;
+  AddStateLadder(workloads::make_idct8(), BackendKind::kList, 8)
+      .walk([&](const Problem& p, const Action& a, const PassTrace& trace) {
+        if (!hit && warm_start_frontier(p, a, trace) > 0) {
+          hit = Captured{p, a, trace};
+        }
+      });
+  ASSERT_TRUE(hit.has_value()) << "no replaying add-state on idct8 at II=8";
+  const auto frontier_with = [&](auto&& mutate) {
+    Problem p = hit->p;
+    mutate(p);
+    return warm_start_frontier(p, hit->a, hit->trace);
+  };
+  EXPECT_EQ(frontier_with([](Problem& p) { p.span_shift.ranks_same = false; }),
+            0);
+  EXPECT_EQ(
+      frontier_with([](Problem& p) { p.span_shift.releases_same = false; }), 0);
+  EXPECT_EQ(frontier_with(
+                [](Problem& p) { p.span_shift.deadlines_not_earlier = false; }),
+            0);
+  EXPECT_EQ(frontier_with([](Problem& p) { p.accept_negative_slack = true; }),
+            0);
+}
+
+// refresh_spans reports a rank change when added states stretch some
+// mobilities but not others: anchored I/O keeps its home step, so the
+// multiplier that outranked it on complexity now ranks behind it.
+TEST(AddStateFrontier, RefreshSpansReportsRankChanges) {
+  Builder b("anchored");
+  auto in = b.in("x", int_ty(32));
+  auto out = b.out("y", int_ty(32));
+  auto r = b.read(in, "r");
+  b.write(out, b.mul(r, r));
+  auto m = b.finish();
+  const auto region = ir::linearize(m.thread.tree, m.thread.tree.root());
+  Problem p = build_problem(m.thread.dfg, region, {1, 4}, tech::artisan90(),
+                            1600, PipelineConfig{}, m.ports.size(),
+                            /*anchor_io=*/true, true);
+  ASSERT_EQ(p.num_steps, 1);
+  p.num_steps = 2;
+  refresh_spans(p);
+  EXPECT_EQ(p.span_shift.previous_num_steps, 1);
+  EXPECT_FALSE(p.span_shift.ranks_same);
+  EXPECT_TRUE(p.span_shift.releases_same);
+  EXPECT_TRUE(p.span_shift.deadlines_not_earlier);
+  Action a;
+  a.kind = ActionKind::kAddState;
+  EXPECT_EQ(warm_start_frontier(p, a, PassTrace{}), 0);
+}
+
+// ...and a release change when a span that did not fit the old states
+// (ASAP past the last one, release() clamped to it) moves with them.
+TEST(AddStateFrontier, RefreshSpansReportsReleaseChanges) {
+  Prepared ex = prepare_example1();
+  Problem p = build_problem(ex.module.thread.dfg, ex.region, ex.latency,
+                            tech::artisan90(), 1600, PipelineConfig{},
+                            ex.module.ports.size(), false, true);
+  p.num_steps = 2;  // mul3 needs step 2 (alloc_test's Example 1 spans)
+  refresh_spans(p);
+  const OpId mul3 = find_op(ex.module, "mul3_op");
+  ASSERT_EQ(p.release(mul3), 1);
+  p.num_steps = 3;
+  refresh_spans(p);
+  EXPECT_EQ(p.release(mul3), 2);
+  EXPECT_FALSE(p.span_shift.releases_same);
+}
 
 }  // namespace
 }  // namespace hls::sched

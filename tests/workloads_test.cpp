@@ -13,6 +13,7 @@
 #include "ir/print.hpp"
 #include "ir/validate.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hls::workloads {
@@ -112,7 +113,7 @@ TEST(Idct8, CloseToDoublePrecisionReference) {
     for (int c = 0; c < 4; ++c) {
       cols[static_cast<std::size_t>(i)].push_back(rng.uniform(-256, 256));
     }
-    s.set("x" + std::to_string(i), cols[static_cast<std::size_t>(i)]);
+    s.set(indexed_name("x", i), cols[static_cast<std::size_t>(i)]);
   }
   const auto r = interpret(w.module, s);
   const auto by_port = ir::writes_by_port(w.module, r.writes);
@@ -129,7 +130,7 @@ TEST(Idct8, CloseToDoublePrecisionReference) {
                            [static_cast<std::size_t>(col)]);
       }
       const auto got =
-          by_port.at("y" + std::to_string(k))[static_cast<std::size_t>(col)];
+          by_port.at(indexed_name("y", k))[static_cast<std::size_t>(col)];
       EXPECT_NEAR(static_cast<double>(got), acc, 2.5)
           << "col " << col << " k " << k;
     }
@@ -165,7 +166,7 @@ TEST(Sobel, ComputesGradientMagnitude) {
   // Vertical edge: left column 0, right column 100.
   const std::int64_t px[9] = {0, 50, 100, 0, 50, 100, 0, 50, 100};
   for (int i = 0; i < 9; ++i) {
-    s.set("p" + std::to_string(i), {px[i]});
+    s.set(indexed_name("p", i), {px[i]});
   }
   const auto r = interpret(w.module, s);
   const auto mags = ir::writes_by_port(w.module, r.writes).at("mag");
