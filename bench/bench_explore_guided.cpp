@@ -1,7 +1,6 @@
 // Model-guided exploration A/B: the same grids — a named-kernel suite
 // sweep and a ~1600-op random-CDFG sweep — run through the exhaustive
-// engine and the guided engine (best-first chains + in-chain seeding +
-// dominance pruning). Emits BENCH_explore.json, which doubles as the
+// engine and the guided engine (best-first chains + dominance pruning). Emits BENCH_explore.json, which doubles as the
 // committed bench/baseline_explore.json the cost-model fit consumes
 // (bench/fit_cost_model.py): the recurrence A/B section measures list vs
 // SDC wall-clock at three sizes on pipelined recurrence grids (identical
@@ -20,7 +19,7 @@
 // constrained sweeps are: long clock ladders whose tight-latency tails
 // exhaust the relaxation ladder (provable, pass-bearing — the prunable
 // mass), recurrence-bound pipelined ladders (provable, cheap), and
-// feasible ladders (the in-chain seeding regime). Budget-exhausted
+// feasible ladders. Budget-exhausted
 // regions are NOT prunable by design — budget codes are not proofs —
 // so they appear in the correctness grids (tests), not here where they
 // would only dilute the ratio identically on both arms.
@@ -108,9 +107,7 @@ std::vector<NamedGrid> make_grids() {
 
 bool points_semantically_equal(const core::ExplorePoint& a,
                                const core::ExplorePoint& b) {
-  // Everything but wall-clock and seed_use (the guided engine reports
-  // in-chain sharing; exhaustive always says "none" — and seeds never
-  // change results, which is exactly what this comparison enforces).
+  // Everything but wall-clock.
   return a.curve == b.curve && a.tclk_ps == b.tclk_ps &&
          a.latency == b.latency && a.pipelined == b.pipelined &&
          a.min_ii == b.min_ii && a.delay_ns == b.delay_ns &&
@@ -118,6 +115,7 @@ bool points_semantically_equal(const core::ExplorePoint& a,
          a.feasible == b.feasible && a.failure == b.failure &&
          a.cancelled == b.cancelled && a.passes == b.passes &&
          a.relaxations == b.relaxations && a.backend == b.backend &&
+         a.seed_use == b.seed_use &&
          a.constraint_edges == b.constraint_edges &&
          a.propagation_relaxations == b.propagation_relaxations &&
          a.memory_restraints == b.memory_restraints &&
@@ -129,8 +127,6 @@ struct ArmTotals {
   double seconds = 0;
   std::size_t feasible = 0;
   std::size_t pruned = 0;
-  std::size_t seeded = 0;
-  std::size_t replayed = 0;
 };
 
 struct GridReport {
@@ -149,8 +145,6 @@ ArmTotals tally(const std::vector<core::ExplorePoint>& pts, double seconds) {
     t.passes += p.passes;
     if (p.feasible) ++t.feasible;
     if (p.failure.rfind(core::kDominatedPrefix, 0) == 0) ++t.pruned;
-    if (p.seed_use == "seeded") ++t.seeded;
-    if (p.seed_use == "replay") ++t.replayed;
   }
   return t;
 }
@@ -278,9 +272,9 @@ int main() {
     reports.push_back(run_grid(spec));
     const auto& r = reports.back();
     std::printf("%-12s %4zu ops %4zu pts: passes %6lld -> %6lld, "
-                "pruned %3zu, seeded %2zu, wall %6.2fs -> %6.2fs\n",
+                "pruned %3zu, wall %6.2fs -> %6.2fs\n",
                 r.name.c_str(), r.ops, r.points, r.exhaustive.passes,
-                r.guided.passes, r.guided.pruned, r.guided.seeded,
+                r.guided.passes, r.guided.pruned,
                 r.exhaustive.seconds, r.guided.seconds);
     points += r.points;
     results_identical = results_identical && r.results_identical;
@@ -290,8 +284,6 @@ int main() {
       into->seconds += from.seconds;
       into->feasible += from.feasible;
       into->pruned += from.pruned;
-      into->seeded += from.seeded;
-      into->replayed += from.replayed;
     };
     add(&exhaustive, r.exhaustive);
     add(&guided, r.guided);
@@ -363,10 +355,6 @@ int main() {
                  guided.seconds, exhaustive.seconds);
     ok = false;
   }
-  if (guided.seeded == 0) {
-    std::fprintf(stderr, "FAIL: no in-chain seed sharing happened\n");
-    ok = false;
-  }
   for (const auto& ab : rec) ok = ok && ab.ok;
   ok = ok && mem.ok;
 
@@ -384,8 +372,6 @@ int main() {
   w.key("guided_seconds"), w.value(guided.seconds);
   w.key("wall_reduction_pct"), w.value(wall_reduction);
   w.key("pruned_points"), w.value(static_cast<std::uint64_t>(guided.pruned));
-  w.key("seeded_points"), w.value(static_cast<std::uint64_t>(guided.seeded));
-  w.key("replayed_points"), w.value(static_cast<std::uint64_t>(guided.replayed));
   w.key("feasible_points"), w.value(static_cast<std::uint64_t>(guided.feasible));
   w.key("grids");
   w.begin_array();
@@ -397,7 +383,6 @@ int main() {
     w.key("exhaustive_passes"), w.value(static_cast<std::int64_t>(r.exhaustive.passes));
     w.key("guided_passes"), w.value(static_cast<std::int64_t>(r.guided.passes));
     w.key("pruned"), w.value(static_cast<std::uint64_t>(r.guided.pruned));
-    w.key("seeded"), w.value(static_cast<std::uint64_t>(r.guided.seeded));
     w.key("exhaustive_seconds"), w.value(r.exhaustive.seconds);
     w.key("guided_seconds"), w.value(r.guided.seconds);
     w.end_object();

@@ -63,11 +63,11 @@ int main() {
     }
     t.row({session.name(), strf(n_ops), strf(r.sched.passes),
            strf(r.sched.relaxations()), strf(r.sched.schedule.num_steps),
-           strf(r.sched.timing_queries), fmt_fixed(r.sched_seconds, 3)});
+           strf(r.sched.timing_queries), fmt_fixed(r.timings.sched_seconds, 3)});
     ops.push_back(n_ops);
-    times.push_back(r.sched_seconds);
+    times.push_back(r.timings.sched_seconds);
     passes.push_back(r.sched.passes);
-    max_time = std::max(max_time, r.sched_seconds);
+    max_time = std::max(max_time, r.timings.sched_seconds);
   }
   std::printf("%s\n", t.to_string().c_str());
 

@@ -302,45 +302,22 @@ void emit_scheduler_json(const char* path, unsigned explore_threads) {
   w.end_array();
   w.end_object();
 
-  // Timing-table sharing A/B: the same serial IDCT grid against one
-  // session with the prewarmed shared delay tables and one without
-  // (every run's TimingEngine rebuilds its memo tables from cold).
-  // Repeated a few times so the delta is above clock noise.
+  // Timing-table sharing A/B at the engine level: a fresh TimingEngine
+  // touching every (class, width) and mux fan-in once is exactly the
+  // cold-lookup cost each run pays without the process-wide prewarmed
+  // tables. An engine on tech::artisan90() reads those tables; one on a
+  // copy of the same library (different identity, same delays) falls
+  // back to its local memo.
   {
-    const auto grid = core::idct_paper_grid();
-    core::SessionOptions shared_opts;
-    const core::FlowSession shared_session(workloads::make_idct8(),
-                                           shared_opts);
-    core::SessionOptions cold_opts;
-    cold_opts.share_timing_tables = false;
-    const core::FlowSession cold_session(workloads::make_idct8(), cold_opts);
-    constexpr int kRepeats = 8;
-    core::ExploreOptions serial;
-    serial.threads = 1;
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRepeats; ++i) {
-      core::explore(shared_session, grid, serial);
-    }
-    const double shared_s = seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRepeats; ++i) {
-      core::explore(cold_session, grid, serial);
-    }
-    const double cold_s = seconds_since(t0);
-    // Worker-setup microbenchmark: a fresh TimingEngine touching every
-    // (class, width) and mux fan-in once is exactly the cold-lookup cost
-    // each explore worker pays per run without the shared tables. The
-    // end-to-end explore numbers above contextualize it (setup is a small
-    // share of a run once passes are cheap); this isolates the cut.
-    const auto& lib = tech::artisan90();
-    const auto tables = timing::DelayTables::prewarm(lib);
+    const tech::Library& lib = tech::artisan90();
+    const tech::Library unshared_lib = lib;
     constexpr int kSetupReps = 2000;
     constexpr auto kLastClass = static_cast<int>(tech::FuClass::kMux);
     double sink = 0;
-    const auto setup_sweep = [&](const timing::DelayTables* shared) {
+    const auto setup_sweep = [&](const tech::Library& engine_lib) {
       const auto s0 = std::chrono::steady_clock::now();
       for (int rep = 0; rep < kSetupReps; ++rep) {
-        timing::TimingEngine eng(lib, 1600, shared);
+        timing::TimingEngine eng(engine_lib, 1600);
         for (int c = 0; c <= kLastClass; ++c) {
           const auto cls = static_cast<tech::FuClass>(c);
           if (cls == tech::FuClass::kNone) continue;
@@ -352,8 +329,8 @@ void emit_scheduler_json(const char* path, unsigned explore_threads) {
       }
       return seconds_since(s0) / kSetupReps;
     };
-    const double setup_shared_s = setup_sweep(&tables);
-    const double setup_cold_s = setup_sweep(nullptr);
+    const double setup_shared_s = setup_sweep(lib);
+    const double setup_cold_s = setup_sweep(unshared_lib);
     if (sink < 0) std::abort();  // keep the sweeps observable
     w.key("timing_tables");
     w.begin_object();
@@ -363,24 +340,11 @@ void emit_scheduler_json(const char* path, unsigned explore_threads) {
     w.value(setup_cold_s * 1e9);
     w.key("setup_speedup");
     w.value(setup_shared_s > 0 ? setup_cold_s / setup_shared_s : 0);
-    w.key("explore_repeats");
-    w.value(static_cast<std::int64_t>(kRepeats));
-    w.key("configs_per_repeat");
-    w.value(static_cast<std::int64_t>(grid.size()));
-    w.key("shared_seconds");
-    w.value(shared_s);
-    w.key("unshared_seconds");
-    w.value(cold_s);
-    w.key("speedup");
-    w.value(shared_s > 0 ? cold_s / shared_s : 0);
     w.end_object();
     std::printf("timing tables: worker setup %.0f ns shared vs %.0f ns "
-                "unshared (%.2fx); %d x %zu serial configs end-to-end "
-                "%.3fs vs %.3fs (%.2fx)\n",
+                "unshared (%.2fx)\n",
                 setup_shared_s * 1e9, setup_cold_s * 1e9,
-                setup_shared_s > 0 ? setup_cold_s / setup_shared_s : 0.0,
-                kRepeats, grid.size(), shared_s, cold_s,
-                shared_s > 0 ? cold_s / shared_s : 0.0);
+                setup_shared_s > 0 ? setup_cold_s / setup_shared_s : 0.0);
   }
 
   // Backend quality/runtime comparison over the paper grid: the same

@@ -22,7 +22,7 @@ int main() {
   core::FlowRun run = session.begin(opts);
   if (run.select_microarch() && run.schedule()) {
     std::printf("scheduled in %d passes (%.4f s); generating RTL...\n\n",
-                run.result().sched.passes, run.result().sched_seconds);
+                run.result().sched.passes, run.result().timings.sched_seconds);
     run.generate_rtl();
     run.estimate();
   }

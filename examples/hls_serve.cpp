@@ -55,7 +55,7 @@ int usage(int code) {
       "  --batch N          points per job per round (8; 0 = whole job)\n"
       "  --sessions N       compiled-session cache size (8)\n"
       "  --trace-entries N  trace cache size (1024)\n"
-      "  --no-trace-cache   disable cross-config warm-start seeding\n"
+      "  --no-trace-cache   disable exact-config seed replay\n"
       "  --queue-depth N    shed jobs beyond N queued (0 = unbounded)\n"
       "  --retries N        transient-fault compile retries (2)\n"
       "  --max-request-bytes N\n"

@@ -50,7 +50,7 @@ ExplorePoint run_point(const FlowSession& session, const ExploreConfig& cfg,
       pt.backend = sched::backend_name(r.sched.backend);
       pt.min_ii = r.sched.min_ii;
     }
-    pt.sched_seconds = r.sched_seconds;
+    pt.sched_seconds = r.timings.sched_seconds;
     pt.passes = r.sched.passes;
     pt.relaxations = r.sched.relaxations();
     pt.seed_use = sched::seed_use_name(r.sched.seed_use);
@@ -134,8 +134,7 @@ double predicted_config_cost_ns(const FlowSession& session,
 
 namespace {
 
-/// One clock ladder: the guided engine's unit of dispatch, seed sharing
-/// and pruning.
+/// One clock ladder: the guided engine's unit of dispatch and pruning.
 struct GuidedChain {
   std::vector<std::size_t> order;  ///< config indices, loosest tclk first
   double cost = 0;                 ///< summed predicted ns (LPT dispatch)
@@ -159,8 +158,7 @@ std::vector<GuidedChain> build_guided_chains(
   for (GuidedChain& chain : chains) {
     chain.anchor = *std::min_element(chain.order.begin(), chain.order.end());
     // Loosest clock first (the cheapest end of the ladder and the
-    // dominance witness's side); equal clocks keep config order, so
-    // exact-config duplicates replay off the first occurrence.
+    // dominance witness's side); equal clocks keep config order.
     std::stable_sort(chain.order.begin(), chain.order.end(),
                      [&](std::size_t a, std::size_t b) {
                        if (configs[a].tclk_ps != configs[b].tclk_ps) {
@@ -221,13 +219,11 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
   if (options.guided || options.prune) {
     // Model-guided engine: chains are the work units. All cross-thread
     // state is per-chain and chains never share slots, so every field of
-    // every point — including seed_use — is identical at any thread
-    // count; only dispatch overlap (wall-clock) changes.
+    // every point is identical at any thread count; only dispatch overlap
+    // (wall-clock) changes.
     const std::vector<GuidedChain> chains =
         build_guided_chains(session, configs);
     auto run_chain = [&](const GuidedChain& chain) {
-      sched::ScheduleSeed donor;
-      bool have_donor = false;
       bool have_witness = false;
       double witness_tclk = 0;
       for (const std::size_t i : chain.order) {
@@ -250,14 +246,7 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
           continue;
         }
         try {
-          RunPointExtras extras;
-          extras.seed = have_donor ? &donor : nullptr;
-          extras.record_seed = true;
-          points[i] = run_point(session, cfg, &extras);
-          if (extras.seed_recorded) {
-            donor = std::move(extras.seed_out);
-            have_donor = true;
-          }
+          points[i] = run_point(session, cfg);
           if (options.prune && !have_witness &&
               proves_infeasibility(points[i])) {
             have_witness = true;

@@ -12,13 +12,12 @@
 // configurations that differ only in clock period form a *chain*; chains
 // become the parallel work units, dispatched longest-predicted-first
 // (core/cost_model.hpp) for makespan, and each chain runs serially from
-// its loosest clock down, threading each success's sched::ScheduleSeed
-// into the next point. With `prune`, a provable infeasibility part-way
+// its loosest clock down. With `prune`, a provable infeasibility part-way
 // down a chain skips every strictly tighter clock on that chain —
 // reported as synthetic `[explore/dominated]` points without running.
 // Either way the engine stays deterministic at every thread count, and
 // every point it does run is field-identical to the exhaustive engine's
-// (seeds never change schedules or pass counts; golden-suite enforced).
+// except the wall-clock `sched_seconds`.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +61,9 @@ struct ExplorePoint {
   /// run that failed before scheduling keeps "auto".
   std::string backend;
   /// How the run used a cross-run scheduling seed, when one was offered
-  /// through RunPointExtras ("none" / "replay" / "seeded" / "miss"; see
-  /// sched::SeedUse). Plain explore() runs always report "none".
+  /// through RunPointExtras ("none" / "replay" / "miss"; see
+  /// sched::SeedUse). explore() never offers one, so its points report
+  /// "none".
   std::string seed_use = "none";
 
   /// Constraint-system totals across the run's scheduling passes (SDC
@@ -123,11 +123,10 @@ struct ExploreOptions {
 
   /// Model-guided execution: run the grid as clock-ladder chains
   /// (explore_chain_key) dispatched longest-predicted-first
-  /// (predicted_config_cost_ns), each chain serially loosest-clock-first
-  /// with in-chain warm-start seed sharing. Points the engine runs are
-  /// field-identical to the exhaustive engine's except `seed_use` (which
-  /// reports the sharing) and wall-clock; the result vector stays ordered
-  /// like `configs`.
+  /// (predicted_config_cost_ns), each chain serially loosest-clock-first.
+  /// Points the engine runs are field-identical to the exhaustive
+  /// engine's except wall-clock; the result vector stays ordered like
+  /// `configs`.
   bool guided = false;
   /// Infeasibility-dominance pruning (implies the guided chain engine):
   /// once a chain point fails with a *provable* schedule-stage code
@@ -141,13 +140,12 @@ struct ExploreOptions {
   bool prune = false;
 };
 
-/// Seed plumbing for run_point: lets a serving layer thread a
-/// sched::ScheduleSeed from a finished neighboring configuration into a
-/// run, and capture the run's own seed for later reuse. Exploration's
-/// determinism contract is preserved because a seed never changes the
+/// Seed plumbing for run_point: lets a serving layer replay the
+/// sched::ScheduleSeed of an earlier run of the SAME configuration, and
+/// capture the run's own seed for later reuse. A seed never changes the
 /// schedule: an exact-config seed replays the identical final pass (only
-/// the pass count drops), a neighbor seed leaves the cold ladder and its
-/// pass count untouched, and the driver restarts cold on a seed miss.
+/// the pass count drops), and any other seed is ignored (the run solves
+/// cold and reports seed_use "miss").
 struct RunPointExtras {
   /// Seed to offer the scheduler (must describe the same module; the
   /// pointee must outlive the call). nullptr = cold.
@@ -203,8 +201,7 @@ bool proves_infeasibility(const ExplorePoint& point);
 
 /// Chain (family) key: every ExploreConfig field EXCEPT the clock
 /// period, so configs with equal keys form one clock ladder — the unit
-/// of in-chain seed sharing and of dominance pruning. Pure and
-/// deterministic.
+/// of dominance pruning. Pure and deterministic.
 std::string explore_chain_key(const ExploreConfig& cfg);
 
 /// Predicted scheduling cost of one configuration in nanoseconds

@@ -78,11 +78,11 @@ struct FlowOptions {
   const support::StopSource* stop = nullptr;
 
   /// Cross-run scheduling seed (sched::ScheduleSeed) from a finished run
-  /// on the SAME module — the serve layer's trace cache feeds this.
-  /// Incompatible seeds are ignored, exact-config seeds replay bit-exact
-  /// in one pass, and neighbor seeds only track the cold ladder, so the
-  /// result is never changed by seeding (SchedulerResult::seed_use
-  /// reports what happened). The pointee must outlive the run.
+  /// of the SAME module under the SAME configuration — the serve layer's
+  /// trace cache feeds this. Such a seed replays bit-exact in one pass;
+  /// any other seed is ignored and the run solves cold, so seeding never
+  /// changes the result (SchedulerResult::seed_use reports what
+  /// happened). The pointee must outlive the run.
   const sched::ScheduleSeed* seed = nullptr;
   /// Record a ScheduleSeed into SchedulerResult::seed_out on success.
   bool record_seed = false;
@@ -122,8 +122,7 @@ struct FlowResult {
   synth::AreaReport area;
   synth::PowerReport power;
   std::string verilog;
-  double sched_seconds = 0;  ///< wall-clock scheduling time (Figure 9)
-  StageTimings timings;      ///< per-stage wall-clock breakdown
+  StageTimings timings;  ///< per-stage wall-clock breakdown (Figure 9)
 
   /// Delay in ns per iteration: II × Tclk (the paper's Figures 10-11 x
   /// axis: "the delay is actually the inverse of the throughput").

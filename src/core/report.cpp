@@ -170,8 +170,6 @@ std::string render_json(const FlowResult& r) {
     }
     w.key("timing_queries");
     w.value(r.sched.timing_queries);
-    w.key("sched_seconds");
-    w.value(r.sched_seconds);
     w.key("timings");
     w.begin_object();
     w.key("compile_s");

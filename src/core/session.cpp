@@ -118,13 +118,6 @@ FlowSession::FlowSession(workloads::Workload workload,
     // Branch predication is required before scheduling (and is what makes
     // loop bodies straight lines for pipelining).
     pipeline::straighten(compiled_);
-    if (options.share_timing_tables) {
-      // Every run's TimingEngine would otherwise rebuild the same
-      // (class, width) and mux-fanin memo tables from cold; prewarm them
-      // once here and share them read-only across runs and workers.
-      delay_tables_ = std::make_shared<const timing::DelayTables>(
-          timing::DelayTables::prewarm(tech::artisan90()));
-    }
     // Hash the post-front-end IR with the display name normalized away, so
     // the serve layer's session cache collides renamed-but-identical
     // designs. The dump is taken AFTER optimize + predicate: equal hashes
@@ -158,15 +151,14 @@ FlowRun FlowSession::begin(FlowOptions options) const& {
   // compiled module stays untouched, which is what makes concurrent runs
   // over one session safe.
   return FlowRun(std::move(options), std::make_unique<ir::Module>(compiled_),
-                 loop_, compile_seconds_, diags_, delay_tables_, memory_);
+                 loop_, compile_seconds_, diags_, memory_);
 }
 
 FlowRun FlowSession::begin(FlowOptions options) && {
   // The session is expiring: hand its module over instead of cloning.
   return FlowRun(std::move(options),
                  std::make_unique<ir::Module>(std::move(compiled_)), loop_,
-                 compile_seconds_, diags_, std::move(delay_tables_),
-                 std::move(memory_));
+                 compile_seconds_, diags_, std::move(memory_));
 }
 
 FlowResult FlowSession::run(const FlowOptions& options) const& {
@@ -186,11 +178,8 @@ FlowResult FlowSession::run(const FlowOptions& options) && {
 FlowRun::FlowRun(FlowOptions options, std::unique_ptr<ir::Module> module,
                  ir::StmtId loop, double compile_seconds,
                  const std::vector<Diagnostic>& session_diags,
-                 std::shared_ptr<const timing::DelayTables> shared_delays,
                  mem::MemorySpec memory)
-    : options_(std::move(options)),
-      memory_(std::move(memory)),
-      shared_delays_(std::move(shared_delays)) {
+    : options_(std::move(options)), memory_(std::move(memory)) {
   result_.module = std::move(module);
   result_.loop = loop;
   result_.timings.compile_seconds = compile_seconds;
@@ -227,6 +216,16 @@ bool FlowRun::select_microarch() {
   }
 
   ir::Module& m = *result_.module;
+  // The scheduler takes one straight-line loop body (ir::linearize); a
+  // nested loop inside the selected one is a user error, not an internal
+  // one.
+  for (const ir::StmtId inner : m.thread.tree.loops_in(result_.loop)) {
+    if (inner == result_.loop) continue;
+    fail("microarch", "nested-loop",
+         strf("selected loop holds nested loop statement ", inner,
+              "; unroll or schedule it separately"));
+    return false;
+  }
   ir::Stmt& loop_stmt = m.thread.tree.stmt_mut(result_.loop);
   latency_ = loop_stmt.latency;
   if (options_.latency_min > 0) latency_.min = options_.latency_min;
@@ -246,11 +245,6 @@ bool FlowRun::select_microarch() {
   sopts_.tclk_ps = options_.tclk_ps;
   sopts_.lib = options_.lib != nullptr ? options_.lib : &tech::artisan90();
   sopts_.backend = options_.backend;
-  // The session's tables are prewarmed for the default library; a custom
-  // library must not read them (its delays differ).
-  if (sopts_.lib == &tech::artisan90()) {
-    sopts_.shared_delays = shared_delays_.get();
-  }
   if (options_.pipeline_ii > 0 || options_.solve_min_ii) {
     // Min-II solving implies a pipelined micro-architecture; an explicit
     // pipeline_ii then floors the search (0 floors it at II=1). The
@@ -286,8 +280,7 @@ bool FlowRun::schedule() {
   const auto t0 = std::chrono::steady_clock::now();
   result_.sched = sched::schedule_region(m.thread.dfg, region_, latency_,
                                          m.ports.size(), sopts_);
-  result_.sched_seconds = seconds_since(t0);
-  result_.timings.sched_seconds = result_.sched_seconds;
+  result_.timings.sched_seconds = seconds_since(t0);
   if (!result_.sched.success) {
     // Budget exhaustion and cancellation carry their own codes; ordinary
     // infeasibility (empty failure_code) keeps the long-standing one.

@@ -30,12 +30,6 @@ struct SessionOptions {
   /// Structurally validate the compiled IR; problems become "compile"
   /// diagnostics and every subsequent run fails cleanly.
   bool validate_ir = true;
-  /// Prewarm the (class, width) and mux-fanin delay tables once at
-  /// construction and share them read-only with every run's
-  /// TimingEngine, so concurrent explore() workers skip the cold library
-  /// lookups (each engine keeps its own query counters). Runs against a
-  /// non-default library fall back to engine-local memo tables.
-  bool share_timing_tables = true;
 };
 
 class FlowSession;
@@ -50,7 +44,8 @@ class FlowRun {
  public:
   /// Applies the pipelining directive and latency-bound overrides to the
   /// cloned module and prepares the scheduling problem. Fails on
-  /// malformed options (validate_flow_options) or compile diagnostics.
+  /// malformed options (validate_flow_options), compile diagnostics, or a
+  /// selected loop whose body holds a nested loop ("nested-loop").
   bool select_microarch();
   /// Iterative simultaneous scheduling and binding (paper Section IV).
   bool schedule();
@@ -72,7 +67,6 @@ class FlowRun {
   FlowRun(FlowOptions options, std::unique_ptr<ir::Module> module,
           ir::StmtId loop, double compile_seconds,
           const std::vector<Diagnostic>& session_diags,
-          std::shared_ptr<const timing::DelayTables> shared_delays,
           mem::MemorySpec memory);
 
   void fail(std::string stage, std::string code, std::string message);
@@ -92,9 +86,6 @@ class FlowRun {
   /// The workload's memory constraints; sopts_.memory points here (the
   /// run owns a copy so the && facade can expire the session).
   mem::MemorySpec memory_;
-  /// Keeps the session's prewarmed delay tables alive for the schedule
-  /// stage even when the session itself has expired (the && facade).
-  std::shared_ptr<const timing::DelayTables> shared_delays_;
 
   // Prepared by select_microarch for schedule().
   sched::SchedulerOptions sopts_;
@@ -132,10 +123,6 @@ class FlowSession {
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   /// Wall-clock seconds spent compiling (optimize + predicate + validate).
   double compile_seconds() const { return compile_seconds_; }
-  /// The session-wide prewarmed delay tables (null when sharing is off).
-  const timing::DelayTables* delay_tables() const {
-    return delay_tables_.get();
-  }
 
   /// Starts a staged run against a clone of the compiled module.
   /// Thread-safe: `this` is only read.
@@ -157,7 +144,6 @@ class FlowSession {
   std::uint64_t module_hash_ = 0;
   std::vector<Diagnostic> diags_;
   double compile_seconds_ = 0;
-  std::shared_ptr<const timing::DelayTables> delay_tables_;
 };
 
 }  // namespace hls::core

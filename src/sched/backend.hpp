@@ -66,8 +66,7 @@ class SchedulerBackend {
 /// recurrence whose predicted SDC per-pass cost stays within the fitted
 /// affordability bound of list's. Coefficients are fitted offline by
 /// bench/fit_cost_model.py from BENCH_scheduler.json /
-/// BENCH_explore.json; `options.legacy_auto_rule` restores the old
-/// fixed 4096-op-cap heuristic for A/B (docs/SCHEDULER.md).
+/// BENCH_explore.json (docs/SCHEDULER.md).
 BackendKind resolve_backend(const Problem& problem,
                             const SchedulerOptions& options);
 

@@ -19,22 +19,12 @@ const char* seed_use_name(SeedUse use) {
   switch (use) {
     case SeedUse::kNone: return "none";
     case SeedUse::kReplay: return "replay";
-    case SeedUse::kSeeded: return "seeded";
     case SeedUse::kMiss: return "miss";
   }
   return "?";
 }
 
 namespace {
-
-/// Whether two recorded actions are the same relaxation. Compares the
-/// semantic fields only — gain/cost are expert ranking scores that depend
-/// on the clock period and are irrelevant to what the action does.
-bool same_action(const Action& a, const Action& b) {
-  return a.kind == b.kind && a.pool == b.pool && a.amount == b.amount &&
-         a.op == b.op && a.instance == b.instance && a.scc == b.scc &&
-         a.window_start == b.window_start && a.port == b.port;
-}
 
 /// Applies one recorded seed action to the problem, translated to the
 /// target configuration. Returns false (without mutating) when the action
@@ -115,31 +105,14 @@ bool apply_seed_action(Problem& p, const Action& a, const ExpertOptions& eopts) 
 /// exact-config replay path; later passes warm-start from their own
 /// predecessors as before. `single_pass` returns after the first attempt,
 /// successful or not (the exact-replay contract: win in one pass or let
-/// the caller restart cold).
-///
-/// `ladder` is the neighbor-seeding protocol (docs/SCHEDULER.md). The
-/// loop runs the COLD ladder unchanged — every pass, expert decision,
-/// and relaxation is exactly what an unseeded run performs, so a
-/// neighbor seed can NEVER change the result — while comparing each
-/// relaxation against the donor's recorded recipe. A solve whose ladder
-/// matched the donor's recipe end to end reports SeedUse::kSeeded (the
-/// donor predicted this solve: the next submission of this exact
-/// configuration will replay in one pass); any divergence reports kMiss.
-///
-/// Skipping ladder passes outright would be unsound here: each expert
-/// decision is a function of the previous pass's restraint set, which
-/// depends on the clock period, so a donor recipe from a neighboring
-/// tclk can over- or under-relax relative to this configuration's cold
-/// ladder and land on a different (valid but non-canonical) schedule.
-/// Only the exact-configuration path (schedule_region) skips passes,
-/// where the warm ≡ cold replay guarantee makes it bit-exact.
+/// the caller restart cold). Every applied relaxation is appended to
+/// `applied_out` (when given) for seed recording.
 SchedulerResult run_relaxation_loop(
     Problem& p, const ir::Dfg& dfg, timing::TimingEngine& eng,
     SchedulerBackend& backend, const SchedulerOptions& options,
     const ExpertOptions& eopts, const PassTrace* initial_trace,
-    int initial_frontier, bool single_pass, const ScheduleSeed* ladder,
-    std::vector<PassRecord> history, std::vector<Action>* applied_out,
-    support::Budget& budget) {
+    int initial_frontier, bool single_pass, std::vector<PassRecord> history,
+    std::vector<Action>* applied_out, support::Budget& budget) {
   const bool warm_startable = options.warm_start && backend.warm_startable();
   // A work-unit pass budget tightens the option cap; exhaustion of either
   // reports the same dedicated code at the loop's end.
@@ -153,29 +126,11 @@ SchedulerResult run_relaxation_loop(
   result.backend = backend.kind();
   result.history = std::move(history);
 
-  // Ladder-following state: how far the cold ladder has tracked the
-  // donor's recipe.
-  bool following = ladder != nullptr;
-  std::size_t ladder_pos = 0;
-  // Every action the loop applies flows through here so seed recording
-  // and ladder matching cannot drift apart.
   auto note_applied = [&](const Action& a) {
     if (applied_out != nullptr) applied_out->push_back(a);
-    if (following) {
-      if (ladder_pos < ladder->actions.size() &&
-          same_action(a, ladder->actions[ladder_pos])) {
-        ++ladder_pos;
-      } else {
-        following = false;
-      }
-    }
   };
 
   auto finish_success = [&](PassOutcome&& outcome, PassRecord&& rec) {
-    if (following && ladder_pos == ladder->actions.size() &&
-        p.num_steps == ladder->num_steps) {
-      result.seed_use = SeedUse::kSeeded;
-    }
     result.history.push_back(std::move(rec));
     result.success = true;
     result.schedule = std::move(outcome.schedule);
@@ -320,7 +275,7 @@ SchedulerResult run_relaxation_loop(
     }
     if (single_pass) {
       result.history.push_back(std::move(rec));
-      result.failure_reason = "seeded pass failed";
+      result.failure_reason = "seed replay failed";
       result.timing_queries = eng.queries();
       return result;
     }
@@ -365,7 +320,7 @@ SchedulerResult schedule_region_impl(
     std::shared_ptr<const alloc::LifespanContext> span_context = nullptr) {
   const tech::Library& lib =
       options.lib != nullptr ? *options.lib : tech::artisan90();
-  timing::TimingEngine eng(lib, options.tclk_ps, options.shared_delays);
+  timing::TimingEngine eng(lib, options.tclk_ps);
 
   Problem p = build_problem(dfg, region, latency, lib, options.tclk_ps,
                             options.pipeline, num_ports, options.anchor_io,
@@ -427,23 +382,22 @@ SchedulerResult schedule_region_impl(
   };
 
   // ---- Cross-run seeding -----------------------------------------------
-  // Exact-config seeds replay the donor's final pass wholesale (bit-exact
-  // by the warm ≡ cold guarantee: a successful trace has no fatal events,
-  // so a full replay re-derives the identical schedule). Neighbor seeds
-  // (same module/II/latency, different tclk) run the cold ladder
-  // unchanged inside run_relaxation_loop and only compare it against the
-  // donor recipe to label the run kSeeded or kMiss: they change neither
-  // the result nor the pass count (pinned by the serve golden suite).
+  // Only an exact-configuration seed is used: it re-applies the donor's
+  // recipe and replays its final pass wholesale (bit-exact by the warm ≡
+  // cold guarantee: a successful trace has no fatal events, so a full
+  // replay re-derives the identical schedule). A seed from another clock
+  // period, backend or pipelining shape cannot skip passes soundly — each
+  // expert decision depends on the previous pass's clock-dependent
+  // restraints — so it is ignored and the run reports kMiss.
   const ScheduleSeed* seed = options.seed;
-  const bool seed_shape_ok =
+  const bool exact_seed =
       seed != nullptr && options.warm_start && backend->warm_startable() &&
-      seed->backend == backend->kind() &&
+      seed->backend == backend->kind() && seed->tclk_ps == options.tclk_ps &&
       seed->pipelined == p.pipeline.enabled &&
       (!p.pipeline.enabled || seed->ii == p.pipeline.ii);
 
-  if (seed_shape_ok && seed->tclk_ps == options.tclk_ps) {
-    // Exact configuration: re-apply the recorded recipe up front and
-    // replay the donor's final pass in full.
+  std::vector<PassRecord> history;
+  if (exact_seed) {
     Problem pristine = p;
     bool transferred = true;
     for (const Action& a : seed->actions) {
@@ -469,42 +423,29 @@ SchedulerResult schedule_region_impl(
       seeded_history.push_back(std::move(rec));
       SchedulerResult replayed = run_relaxation_loop(
           p, dfg, eng, *backend, options, eopts, &seed->final_trace,
-          p.num_steps, /*single_pass=*/true, nullptr,
-          std::move(seeded_history), applied_out, budget);
+          p.num_steps, /*single_pass=*/true, std::move(seeded_history),
+          applied_out, budget);
       if (replayed.success) {
         replayed.seed_use = SeedUse::kReplay;
         stamp_seed(replayed);
         return replayed;
       }
     }
+    // Replay impossible or failed: solve cold from the pristine problem.
     p = std::move(pristine);
     if (applied_out != nullptr) applied_out->clear();
-    // Replay impossible or failed: solve cold from the pristine problem,
-    // still offering the recipe to the ladder protocol (the donor state
-    // may schedule even when the decision trace no longer transfers).
-    std::vector<PassRecord> miss_history;
     PassRecord miss;
     miss.pass_number = 0;
     miss.num_steps = p.num_steps;
     miss.success = false;
     miss.action = "seed: exact replay unavailable, solving cold";
-    miss_history.push_back(std::move(miss));
-    SchedulerResult cold = run_relaxation_loop(
-        p, dfg, eng, *backend, options, eopts, nullptr, 0,
-        /*single_pass=*/false, seed, std::move(miss_history), applied_out,
-        budget);
-    if (cold.seed_use == SeedUse::kNone) cold.seed_use = SeedUse::kMiss;
-    stamp_seed(cold);
-    return cold;
+    history.push_back(std::move(miss));
   }
 
   SchedulerResult result = run_relaxation_loop(
       p, dfg, eng, *backend, options, eopts, nullptr, 0,
-      /*single_pass=*/false, seed_shape_ok ? seed : nullptr, {},
-      applied_out, budget);
-  if (seed != nullptr && result.seed_use == SeedUse::kNone) {
-    result.seed_use = SeedUse::kMiss;
-  }
+      /*single_pass=*/false, std::move(history), applied_out, budget);
+  if (seed != nullptr) result.seed_use = SeedUse::kMiss;
   stamp_seed(result);
   return result;
 }

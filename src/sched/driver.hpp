@@ -28,26 +28,15 @@ const char* backend_name(BackendKind kind);
 
 /// A finished run's transferable scheduling state, recorded when
 /// SchedulerOptions::record_seed is on and replayed into a later run via
-/// SchedulerOptions::seed. Two levels of reuse:
-///
-///  * Exact replay — the seed came from the *same* module under the
-///    *same* configuration (tclk, II, latency, backend, feature
-///    switches). The recorded relaxations are re-applied up front and the
-///    final pass replays in full through the PR-5 warm-start path, so the
-///    run completes in one pass with near-zero timing queries. Bit-exact
-///    by the warm ≡ cold guarantee.
-///  * Neighbor seeding — the seed came from an adjacent design-space
-///    point (same module/II/latency, neighboring tclk). The solve runs
-///    the cold relaxation ladder UNCHANGED — every expert decision
-///    depends on the previous pass's restraint set, which depends on the
-///    clock period, so skipping ladder passes on a neighbor's recipe
-///    could land on a different (valid but non-canonical) schedule. The
-///    donor recipe is instead matched against the ladder as it unfolds:
-///    a full match reports SeedUse::kSeeded (the donor predicted this
-///    solve; an exact-config resubmission will replay in one pass), any
-///    divergence reports kMiss. Neighbor seeds therefore never change
-///    results OR pass counts; the serve-layer golden suite pins
-///    seeded ≡ cold over the workload suite grid on both backends.
+/// SchedulerOptions::seed. Only an exact-configuration seed is used: the
+/// donor ran the *same* module under the *same* configuration (tclk, II,
+/// latency, backend, feature switches). The recorded relaxations are
+/// re-applied up front and the final pass replays in full through the
+/// warm-start path, so the run completes in one pass with near-zero timing
+/// queries — bit-exact by the warm ≡ cold guarantee. A seed from any other
+/// clock period cannot skip passes: every expert decision depends on the
+/// previous pass's restraint set, which depends on the clock period
+/// (docs/SCHEDULER.md, "Cross-run seeding").
 struct ScheduleSeed {
   // Donor configuration, checked by the compatibility rules.
   double tclk_ps = 0;
@@ -66,8 +55,7 @@ struct ScheduleSeed {
 enum class SeedUse : std::uint8_t {
   kNone,    ///< no seed offered
   kReplay,  ///< exact-config seed: final pass replayed wholesale
-  kSeeded,  ///< neighbor seed's recipe matched the cold ladder end to end
-  kMiss,    ///< seed incompatible, replay failed, or recipe diverged
+  kMiss,    ///< seed incompatible or its replay failed; solved cold
 };
 const char* seed_use_name(SeedUse use);
 
@@ -81,10 +69,6 @@ struct SchedulerOptions {
   /// to list or SDC per problem (resolve_backend, backend.hpp); the
   /// resolved choice is what SchedulerResult::backend reports.
   BackendKind backend = BackendKind::kList;
-
-  /// Shared read-only unit-delay tables (timing::DelayTables), usually
-  /// prewarmed once per FlowSession; nullptr = engine-local memo only.
-  const timing::DelayTables* shared_delays = nullptr;
 
   /// Aggregate hopeless passes: when the current resource counts provably
   /// leave at least this many ops without an instance slot, the driver
@@ -127,7 +111,8 @@ struct SchedulerOptions {
   const mem::MemorySpec* memory = nullptr;
 
   /// Cross-run seed (see ScheduleSeed). Must describe the same module;
-  /// incompatible seeds are ignored (SeedUse::kMiss reports why not).
+  /// a seed from any other configuration is ignored and reported as
+  /// SeedUse::kMiss.
   const ScheduleSeed* seed = nullptr;
   /// Record a ScheduleSeed for this run into SchedulerResult::seed_out on
   /// success (costs one trace copy per run; off by default).
@@ -151,12 +136,6 @@ struct SchedulerOptions {
   /// across encodings (golden-suite enforced); this switch exists for
   /// that A/B and as a reference implementation, not for production use.
   bool sdc_pairwise_ii = false;
-
-  /// Resolve kAuto with the legacy fixed-threshold rule (pipelined
-  /// recurrences up to 4096 ops take SDC) instead of the fitted cost
-  /// model (core/cost_model.hpp). Kept for A/B against the model-guided
-  /// rule; see docs/SCHEDULER.md for the crossover data behind both.
-  bool legacy_auto_rule = false;
 };
 
 struct PassRecord {

@@ -1,7 +1,6 @@
 #include "serve/cache.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "support/diagnostics.hpp"
@@ -90,90 +89,37 @@ void SessionCache::evict_to_capacity() {
 TraceCache::TraceCache(std::size_t max_entries)
     : max_entries_(std::max<std::size_t>(1, max_entries)) {}
 
-TraceCache::Hit TraceCache::lookup(const TraceKey& key, double tclk_ps) {
+const sched::ScheduleSeed* TraceCache::lookup(const TraceKey& key) {
   ++lookups_;
-  Hit hit;
   const auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.empty()) {
-    ++misses_;
-    return hit;
-  }
-  const std::map<double, Entry>& bucket = it->second;
-  if (const auto exact = bucket.find(tclk_ps); exact != bucket.end()) {
-    ++exact_hits_;
-    hit.seed = &exact->second.seed;
-    hit.exact = true;
-    return hit;
-  }
-  // Nearest neighbor by |Δtclk|; the map iterates ascending, and strict
-  // `<` keeps the first (smaller-period) candidate on a tie.
-  const Entry* best = nullptr;
-  double best_distance = 0;
-  for (const auto& [tclk, entry] : bucket) {
-    const double distance = std::abs(tclk - tclk_ps);
-    if (best == nullptr || distance < best_distance) {
-      best = &entry;
-      best_distance = distance;
-    }
-  }
-  ++neighbor_hits_;
-  hit.seed = &best->seed;
-  hit.exact = false;
-  return hit;
+  if (it == entries_.end()) return nullptr;
+  ++hits_;
+  return &it->second.seed;
 }
 
 void TraceCache::insert(const TraceKey& key, sched::ScheduleSeed seed) {
-  std::map<double, Entry>& bucket = entries_[key];
-  const double tclk = seed.tclk_ps;
-  const auto it = bucket.find(tclk);
-  if (it == bucket.end()) ++total_;
-  Entry entry;
-  entry.seed = std::move(seed);
-  entry.stamp = next_stamp_++;
-  bucket.insert_or_assign(tclk, std::move(entry));
+  entries_.insert_or_assign(key, Entry{std::move(seed), next_stamp_++});
   ++insertions_;
-  evict_to_capacity();
+  while (entries_.size() > max_entries_) evict_one();
 }
 
 void TraceCache::invalidate_module(std::uint64_t module_hash) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.module_hash == module_hash) {
-      total_ -= it->second.size();
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_, [&](const auto& entry) {
+    return entry.first.module_hash == module_hash;
+  });
 }
 
 bool TraceCache::evict_one() {
-  if (total_ == 0) return false;
-  // Eldest stamp across every bucket. Linear, but the cache is small
+  if (entries_.empty()) return false;
+  // Eldest stamp across the cache. Linear, but the cache is small
   // (hundreds of entries) and eviction runs only at round barriers.
-  std::map<TraceKey, std::map<double, Entry>>::iterator eldest_key =
-      entries_.end();
-  std::map<double, Entry>::iterator eldest_entry;
-  for (auto key_it = entries_.begin(); key_it != entries_.end(); ++key_it) {
-    for (auto e = key_it->second.begin(); e != key_it->second.end(); ++e) {
-      if (eldest_key == entries_.end() ||
-          e->second.stamp < eldest_entry->second.stamp) {
-        eldest_key = key_it;
-        eldest_entry = e;
-      }
-    }
-  }
-  HLS_ASSERT(eldest_key != entries_.end(), "trace cache size out of sync");
-  eldest_key->second.erase(eldest_entry);
-  if (eldest_key->second.empty()) entries_.erase(eldest_key);
-  --total_;
+  const auto eldest = std::min_element(
+      entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+        return a.second.stamp < b.second.stamp;
+      });
+  entries_.erase(eldest);
   ++evictions_;
   return true;
-}
-
-void TraceCache::evict_to_capacity() {
-  while (total_ > max_entries_) {
-    if (!evict_one()) return;
-  }
 }
 
 }  // namespace hls::serve

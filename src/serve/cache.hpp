@@ -6,16 +6,14 @@
 //    and in-flight sessions are pinned: eviction can never invalidate a
 //    running job.
 //
-//  * TraceCache — cross-config warm-start seeds (sched::ScheduleSeed)
-//    keyed by (module hash, II, latency, resolved-ish backend), bucketed
-//    by clock period. An exact-tclk hit replays the donor's final pass
-//    wholesale (one pass, bit-exact); a neighbor hit (nearest tclk,
-//    deterministic tie-break) rides along the cold ladder, confirming
-//    when the donor's recipe predicted the solve (docs/SCHEDULER.md
-//    explains why neighbor seeds must never skip passes). Entries are
-//    committed only at round barriers and in (job, point) order, which
-//    keeps lookups — and therefore pass counts and the output stream —
-//    independent of thread timing.
+//  * TraceCache — exact-config replay seeds (sched::ScheduleSeed) keyed
+//    by (module hash, II, latency, requested backend, clock period). A
+//    hit replays the donor's final pass wholesale (one pass, bit-exact);
+//    lookups are exact only, because a seed from another clock period
+//    cannot skip passes (docs/SCHEDULER.md, "Cross-run seeding"). Entries
+//    are committed only at round barriers and in (job, point) order,
+//    which keeps lookups — and therefore pass counts and the output
+//    stream — independent of thread timing.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "core/session.hpp"
 #include "sched/driver.hpp"
@@ -96,47 +95,35 @@ class SessionCache {
 
 // ---- TraceCache ------------------------------------------------------------
 
-/// Cache key: everything that must match EXACTLY for a seed to transfer.
-/// Clock period is deliberately not part of the key — it indexes entries
-/// WITHIN a key, because neighboring-tclk seeds are the cross-config reuse
-/// the cache exists for.
+/// Cache key: everything that must match EXACTLY for a seed to replay.
 struct TraceKey {
   std::uint64_t module_hash = 0;
   int ii = 0;       ///< 0 = sequential
   int latency = 0;  ///< requested LI bound (ExploreConfig::latency)
   sched::BackendKind backend = sched::BackendKind::kList;  ///< as requested
+  double tclk_ps = 0;
 
   bool operator<(const TraceKey& o) const {
-    if (module_hash != o.module_hash) return module_hash < o.module_hash;
-    if (ii != o.ii) return ii < o.ii;
-    if (latency != o.latency) return latency < o.latency;
-    return backend < o.backend;
+    return std::tie(module_hash, ii, latency, backend, tclk_ps) <
+           std::tie(o.module_hash, o.ii, o.latency, o.backend, o.tclk_ps);
   }
 };
 
 class TraceCache {
  public:
-  /// Keeps at most `max_entries` seeds total (minimum 1); the eldest
-  /// insertion is evicted first (FIFO — deterministic and cheap; recency
-  /// tracking would make lookups mutating).
+  /// Keeps at most `max_entries` seeds (minimum 1); the eldest insertion
+  /// is evicted first (FIFO — deterministic and cheap; recency tracking
+  /// would make lookups mutating).
   explicit TraceCache(std::size_t max_entries);
 
-  struct Hit {
-    const sched::ScheduleSeed* seed = nullptr;  ///< null = miss
-    /// True when the donor's tclk matches exactly (full final-pass
-    /// replay); false for a nearest-neighbor donor.
-    bool exact = false;
-  };
+  /// The seed stored under exactly `key`, or nullptr. The pointer is
+  /// valid until the next insert(); the serve engine copies the seed into
+  /// its work item before fanning out.
+  const sched::ScheduleSeed* lookup(const TraceKey& key);
 
-  /// Finds a donor for (key, tclk_ps): the exact tclk bucket when present,
-  /// else the nearest tclk (ties toward the smaller period). The pointer
-  /// is valid until the next insert(); the serve engine copies the seed
-  /// into its work item before fanning out.
-  Hit lookup(const TraceKey& key, double tclk_ps);
-
-  /// Stores a finished run's seed under (key, seed.tclk_ps), replacing any
-  /// previous entry in that bucket, then evicts eldest-first down to
-  /// capacity. Call only at deterministic commit points (round barriers).
+  /// Stores a finished run's seed under `key`, replacing any previous
+  /// entry there, then evicts eldest-first down to capacity. Call only at
+  /// deterministic commit points (round barriers).
   void insert(const TraceKey& key, sched::ScheduleSeed seed);
 
   /// Drops every entry for a module (used when its session is evicted:
@@ -149,13 +136,12 @@ class TraceCache {
   /// fan-out, so a forced eviction can never invalidate a running point.
   bool evict_one();
 
-  std::size_t size() const { return total_; }
+  std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return max_entries_; }
 
   std::uint64_t lookups() const { return lookups_; }
-  std::uint64_t exact_hits() const { return exact_hits_; }
-  std::uint64_t neighbor_hits() const { return neighbor_hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return lookups_ - hits_; }
   std::uint64_t insertions() const { return insertions_; }
   std::uint64_t evictions() const { return evictions_; }
 
@@ -165,16 +151,11 @@ class TraceCache {
     std::uint64_t stamp = 0;  ///< insertion counter, for FIFO eviction
   };
 
-  void evict_to_capacity();
-
   std::size_t max_entries_;
-  std::map<TraceKey, std::map<double, Entry>> entries_;
-  std::size_t total_ = 0;
+  std::map<TraceKey, Entry> entries_;
   std::uint64_t next_stamp_ = 0;
   std::uint64_t lookups_ = 0;
-  std::uint64_t exact_hits_ = 0;
-  std::uint64_t neighbor_hits_ = 0;
-  std::uint64_t misses_ = 0;
+  std::uint64_t hits_ = 0;
   std::uint64_t insertions_ = 0;
   std::uint64_t evictions_ = 0;
 };

@@ -48,11 +48,9 @@ std::string ServeStats::to_json() const {
   w.key("session_evictions"), w.value(session_evictions);
   w.key("trace_lookups"), w.value(trace_lookups);
   w.key("trace_exact_hits"), w.value(trace_exact_hits);
-  w.key("trace_neighbor_hits"), w.value(trace_neighbor_hits);
   w.key("trace_misses"), w.value(trace_misses);
   w.key("trace_evictions"), w.value(trace_evictions);
   w.key("seed_replays"), w.value(seed_replays);
-  w.key("seed_wins"), w.value(seed_wins);
   w.key("seed_misses"), w.value(seed_misses);
   w.key("total_passes"), w.value(total_passes);
   w.key("jobs_shed"), w.value(jobs_shed);
@@ -77,7 +75,6 @@ struct Server::ActiveJob {
   // counts (like every other emitted field) are identical serial vs
   // threaded.
   std::uint64_t seed_replays = 0;
-  std::uint64_t seed_seeded = 0;
   std::uint64_t seed_misses = 0;
   /// Points emitted as cancelled placeholders (cancel() or drain stop).
   std::uint64_t cancelled_points = 0;
@@ -251,7 +248,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       w.key("pruned"), w.value(aj.pruned_points);
     }
     w.key("seed_replays"), w.value(aj.seed_replays);
-    w.key("seed_seeded"), w.value(aj.seed_seeded);
     w.key("seed_misses"), w.value(aj.seed_misses);
     w.key("session_cache_hit"), w.value(aj.session_hit);
     w.key("module"), w.value(hex64(aj.module_hash));
@@ -484,12 +480,10 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
         item.key =
             TraceKey{aj.module_hash,
                      item.cfg->solve_min_ii ? -1 : item.cfg->pipeline_ii,
-                     item.cfg->latency, item.cfg->backend};
+                     item.cfg->latency, item.cfg->backend, item.cfg->tclk_ps};
         if (options_.trace_cache) {
-          const TraceCache::Hit hit =
-              traces_.lookup(item.key, item.cfg->tclk_ps);
-          if (hit.seed != nullptr) {
-            item.seed = *hit.seed;
+          if (const sched::ScheduleSeed* seed = traces_.lookup(item.key)) {
+            item.seed = *seed;
             item.has_seed = true;
           }
         }
@@ -563,10 +557,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
         ++stats_.seed_replays;
         ++owner.seed_replays;
       }
-      if (item.pt.seed_use == "seeded") {
-        ++stats_.seed_wins;
-        ++owner.seed_seeded;
-      }
       if (item.pt.seed_use == "miss") {
         ++stats_.seed_misses;
         ++owner.seed_misses;
@@ -626,8 +616,7 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
   stats_.session_cache_hits = sessions_.hits();
   stats_.session_evictions = sessions_.evictions();
   stats_.trace_lookups = traces_.lookups();
-  stats_.trace_exact_hits = traces_.exact_hits();
-  stats_.trace_neighbor_hits = traces_.neighbor_hits();
+  stats_.trace_exact_hits = traces_.hits();
   stats_.trace_misses = traces_.misses();
   stats_.trace_evictions = traces_.evictions();
   if (options_.emit_stats) sink(stats_.to_json());

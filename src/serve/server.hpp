@@ -47,11 +47,10 @@ struct ServerOptions {
   std::size_t max_sessions = 8;
   /// Trace-cache bound (seeds; FIFO eviction).
   std::size_t max_trace_entries = 1024;
-  /// Cross-config warm-start seeding. Off = every point solves cold.
-  /// Results are identical either way: an exact-config hit replays the
-  /// donor's final pass (provably bit-exact, collapsing the pass count
-  /// to 1), and a neighbor hit only tracks the cold ladder. This is the
-  /// A/B lever the serve bench uses.
+  /// Exact-config seed replay. Off = every point solves cold. Results are
+  /// identical either way: a hit replays the donor's final pass (provably
+  /// bit-exact, collapsing the pass count to 1). This is the A/B lever
+  /// the serve bench uses.
   bool trace_cache = true;
   /// Append a final {"stats": {...}} line to the stream.
   bool emit_stats = false;
@@ -88,13 +87,11 @@ struct ServeStats {
   std::uint64_t session_evictions = 0;
   std::uint64_t trace_lookups = 0;
   std::uint64_t trace_exact_hits = 0;
-  std::uint64_t trace_neighbor_hits = 0;
   std::uint64_t trace_misses = 0;
   std::uint64_t trace_evictions = 0;
   /// SchedulerResult::seed_use tallies over all points.
-  std::uint64_t seed_replays = 0;   ///< exact-config wholesale replays
-  std::uint64_t seed_wins = 0;      ///< neighbor recipes that matched fully
-  std::uint64_t seed_misses = 0;    ///< seeds incompatible or diverged
+  std::uint64_t seed_replays = 0;  ///< exact-config wholesale replays
+  std::uint64_t seed_misses = 0;   ///< seeds whose replay failed
   /// Total scheduling passes across all points — the serve bench's
   /// cache-on vs cache-off comparison metric.
   std::uint64_t total_passes = 0;

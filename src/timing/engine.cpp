@@ -25,6 +25,21 @@ DelayTables DelayTables::prewarm(const tech::Library& lib, int max_width,
   return t;
 }
 
+namespace {
+
+const DelayTables& artisan90_delay_tables() {
+  static const DelayTables tables = DelayTables::prewarm(tech::artisan90());
+  return tables;
+}
+
+}  // namespace
+
+TimingEngine::TimingEngine(const tech::Library& lib, double tclk_ps)
+    : lib_(lib),
+      tclk_ps_(tclk_ps),
+      shared_(&lib == &tech::artisan90() ? &artisan90_delay_tables()
+                                         : nullptr) {}
+
 double TimingEngine::fu_delay_ps(tech::FuClass c, int width) {
   const auto cls = static_cast<std::size_t>(c);
   if (shared_ != nullptr && cls < shared_->fu_delay_ps.size()) {

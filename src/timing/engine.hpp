@@ -15,12 +15,12 @@
 
 namespace hls::timing {
 
-/// Immutable, shareable unit-delay tables: the (class, width) and
-/// mux-fanin lookups every TimingEngine memoizes are identical for a given
-/// library, so a session can prewarm them once and hand the same tables to
-/// every concurrently running engine (the explore() worker pool). Engines
-/// keep their own query/hit counters; the shared tables are only ever
-/// read.
+/// Immutable unit-delay tables: the (class, width) and mux-fanin lookups
+/// every TimingEngine memoizes are identical for a given library, so the
+/// built-in library's tables are prewarmed once per process and read by
+/// every engine on it — concurrent explore and serve workers skip the
+/// cold library lookups. Engines keep their own query/hit counters; the
+/// tables are only ever read.
 struct DelayTables {
   std::vector<std::vector<double>> fu_delay_ps;  ///< [class][width]; <0 = absent
   std::vector<double> mux_delay_ps;              ///< [inputs]; <0 = absent
@@ -31,11 +31,10 @@ struct DelayTables {
 
 class TimingEngine {
  public:
-  /// `shared`, when given, must outlive the engine; cold lookups that miss
-  /// it still fall back to the engine-local memo tables.
-  TimingEngine(const tech::Library& lib, double tclk_ps,
-               const DelayTables* shared = nullptr)
-      : lib_(lib), tclk_ps_(tclk_ps), shared_(shared) {}
+  /// An engine on tech::artisan90() reads the process-wide prewarmed
+  /// tables (built on first use); lookups those miss, and every lookup on
+  /// another library, go through the engine-local memo tables.
+  TimingEngine(const tech::Library& lib, double tclk_ps);
 
   const tech::Library& library() const { return lib_; }
   double tclk_ps() const { return tclk_ps_; }

@@ -4,11 +4,9 @@
 //  * dominance pruning only ever skips points a looser clock on the same
 //    chain PROVED infeasible — budget/cancellation codes never prune, so
 //    feasible points behind a budget failure are never lost;
-//  * in-chain warm-start seed sharing is reported per point (seed_use)
-//    and never changes schedules or pass counts;
 //  * the guided order and the per-config cost predictions are pure and
 //    deterministic, chains loosest-clock-first;
-//  * resolve_backend's fitted-model rule vs the legacy fixed-cap rule;
+//  * resolve_backend's fitted-model rule;
 //  * the serve layer's guided/prune path stays byte-deterministic.
 #include <gtest/gtest.h>
 
@@ -27,11 +25,9 @@
 namespace hls::core {
 namespace {
 
-// Everything except the wall-clock field. `ignore_seed_use` drops the
-// one field the guided engine is allowed to change vs exhaustive (it
-// reports in-chain sharing; exhaustive always says "none").
+// Everything except the wall-clock field.
 void expect_point_eq(const ExplorePoint& a, const ExplorePoint& b,
-                     bool ignore_seed_use, const std::string& what) {
+                     const std::string& what) {
   EXPECT_EQ(a.curve, b.curve) << what;
   EXPECT_EQ(a.tclk_ps, b.tclk_ps) << what;
   EXPECT_EQ(a.latency, b.latency) << what;
@@ -46,9 +42,7 @@ void expect_point_eq(const ExplorePoint& a, const ExplorePoint& b,
   EXPECT_EQ(a.passes, b.passes) << what;
   EXPECT_EQ(a.relaxations, b.relaxations) << what;
   EXPECT_EQ(a.backend, b.backend) << what;
-  if (!ignore_seed_use) {
-    EXPECT_EQ(a.seed_use, b.seed_use) << what;
-  }
+  EXPECT_EQ(a.seed_use, b.seed_use) << what;
   EXPECT_EQ(a.constraint_edges, b.constraint_edges) << what;
   EXPECT_EQ(a.propagation_relaxations, b.propagation_relaxations) << what;
   EXPECT_EQ(a.memory_restraints, b.memory_restraints) << what;
@@ -109,8 +103,7 @@ TEST(GuidedExplore, MatchesExhaustiveAtEveryThreadCount) {
         EXPECT_EQ(guided[i].passes, 0) << what;
         continue;
       }
-      expect_point_eq(guided[i], exhaustive[i], /*ignore_seed_use=*/true,
-                      what);
+      expect_point_eq(guided[i], exhaustive[i], what);
     }
     EXPECT_GT(pruned, 0u) << "the exhaustion ladder must actually prune";
   }
@@ -129,8 +122,7 @@ TEST(GuidedExplore, ThreadCountsProduceIdenticalVectors) {
     const auto pts = explore(session, grid, o);
     ASSERT_EQ(pts.size(), base.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
-      // Including seed_use: in-chain sharing is deterministic too.
-      expect_point_eq(pts[i], base[i], /*ignore_seed_use=*/false,
+      expect_point_eq(pts[i], base[i],
                       "threads=" + std::to_string(threads) + " point " +
                           std::to_string(i));
     }
@@ -155,7 +147,7 @@ TEST(GuidedExplore, ShuffledConfigOrderYieldsSamePerConfigResults) {
     const auto pts = explore(session, shuffled, o);
     ASSERT_EQ(pts.size(), perm.size());
     for (std::size_t at = 0; at < perm.size(); ++at) {
-      expect_point_eq(pts[at], base[perm[at]], /*ignore_seed_use=*/false,
+      expect_point_eq(pts[at], base[perm[at]],
                       "round " + std::to_string(round) + " config " +
                           std::to_string(perm[at]));
     }
@@ -226,45 +218,6 @@ TEST(GuidedExplore, DominatedPointsSitStrictlyBelowAProvableWitness) {
           << "dominated points must name their witness clock";
     }
   }
-}
-
-TEST(GuidedExplore, InChainSeedSharingIsReportedPerPoint) {
-  const FlowSession session(workloads::make_dct8());
-  std::vector<ExploreConfig> grid;
-  ladder(&grid, "feasible", 16, 0, {1450, 1700, 1950, 2200});
-  const auto exhaustive = explore(session, grid, {});
-  for (const auto& p : exhaustive) EXPECT_EQ(p.seed_use, "none");
-  ExploreOptions o;
-  o.guided = true;
-  const auto guided = explore(session, grid, o);
-  // The chain runs loosest-first, so 2200 solves cold and the tighter
-  // points get its recipe offered; at least one must track it fully.
-  EXPECT_EQ(guided.back().seed_use, "none");
-  EXPECT_NE(std::count_if(
-                guided.begin(), guided.end(),
-                [](const ExplorePoint& p) { return p.seed_use == "seeded"; }),
-            0);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expect_point_eq(guided[i], exhaustive[i], /*ignore_seed_use=*/true,
-                    "tclk=" + std::to_string(grid[i].tclk_ps));
-  }
-}
-
-TEST(GuidedExplore, DuplicateConfigsCollapseToExactReplay) {
-  const FlowSession session(workloads::make_fir(16));
-  std::vector<ExploreConfig> grid;
-  ladder(&grid, "feasible", 16, 0, {1600, 1600});
-  ExploreOptions o;
-  o.guided = true;
-  const auto pts = explore(session, grid, o);
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].seed_use, "none");
-  EXPECT_EQ(pts[1].seed_use, "replay");
-  EXPECT_EQ(pts[1].passes, 1);
-  // The replay is bit-exact, so everything non-volatile matches.
-  EXPECT_TRUE(pts[1].feasible);
-  EXPECT_EQ(pts[0].delay_ns, pts[1].delay_ns);
-  EXPECT_EQ(pts[0].area, pts[1].area);
 }
 
 TEST(GuidedExplore, GuidedOrderIsDeterministicAndLoosestClockFirst) {
@@ -352,7 +305,7 @@ TEST(GuidedExplore, ConstraintTotalsSurfacePerPoint) {
 }  // namespace
 }  // namespace hls::core
 
-// ---- resolve_backend: fitted model vs legacy fixed cap ---------------------
+// ---- resolve_backend: fitted model ------------------------------------------
 
 namespace hls::sched {
 namespace {
@@ -366,37 +319,28 @@ Problem shaped_problem(std::size_t ops, bool pipelined, std::size_t sccs) {
 }
 
 TEST(ResolveBackend, ExplicitChoicePassesThroughBothRules) {
-  for (bool legacy : {false, true}) {
-    SchedulerOptions o;
-    o.legacy_auto_rule = legacy;
-    o.backend = BackendKind::kSdc;
-    EXPECT_EQ(resolve_backend(shaped_problem(64, false, 0), o),
-              BackendKind::kSdc);
-    o.backend = BackendKind::kList;
-    EXPECT_EQ(resolve_backend(shaped_problem(64, true, 2), o),
-              BackendKind::kList);
-  }
+  SchedulerOptions o;
+  o.backend = BackendKind::kSdc;
+  EXPECT_EQ(resolve_backend(shaped_problem(64, false, 0), o),
+            BackendKind::kSdc);
+  o.backend = BackendKind::kList;
+  EXPECT_EQ(resolve_backend(shaped_problem(64, true, 2), o),
+            BackendKind::kList);
 }
 
 TEST(ResolveBackend, BothRulesKeepListForSequentialAndFeedForward) {
-  for (bool legacy : {false, true}) {
-    SchedulerOptions o;
-    o.backend = BackendKind::kAuto;
-    o.legacy_auto_rule = legacy;
-    // Sequential, and pipelined-but-recurrence-free: SDC buys nothing.
-    EXPECT_EQ(resolve_backend(shaped_problem(500, false, 0), o),
-              BackendKind::kList)
-        << "legacy=" << legacy;
-    EXPECT_EQ(resolve_backend(shaped_problem(500, true, 0), o),
-              BackendKind::kList)
-        << "legacy=" << legacy;
-  }
+  SchedulerOptions o;
+  o.backend = BackendKind::kAuto;
+  // Sequential, and pipelined-but-recurrence-free: SDC buys nothing.
+  EXPECT_EQ(resolve_backend(shaped_problem(500, false, 0), o),
+            BackendKind::kList);
+  EXPECT_EQ(resolve_backend(shaped_problem(500, true, 0), o),
+            BackendKind::kList);
 }
 
 TEST(ResolveBackend, ModelPrefersSdcOnWarmPipelinedRecurrences) {
   SchedulerOptions o;
   o.backend = BackendKind::kAuto;
-  ASSERT_FALSE(o.legacy_auto_rule);
   ASSERT_TRUE(o.warm_start);
   // Small and mid-size recurrence problems sit well inside the fitted
   // affordability bound. Deliberately far from the model's crossover —
@@ -406,16 +350,6 @@ TEST(ResolveBackend, ModelPrefersSdcOnWarmPipelinedRecurrences) {
             BackendKind::kSdc);
   EXPECT_EQ(resolve_backend(shaped_problem(400, true, 3), o),
             BackendKind::kSdc);
-}
-
-TEST(ResolveBackend, LegacyRuleKeepsItsFixedCap) {
-  SchedulerOptions o;
-  o.backend = BackendKind::kAuto;
-  o.legacy_auto_rule = true;
-  EXPECT_EQ(resolve_backend(shaped_problem(4096, true, 2), o),
-            BackendKind::kSdc);
-  EXPECT_EQ(resolve_backend(shaped_problem(4097, true, 2), o),
-            BackendKind::kList);
 }
 
 TEST(CostModel, FeatureSemantics) {

@@ -19,7 +19,7 @@ namespace hls::serve {
 namespace {
 
 // A mixed job set: repeated designs (session-cache and per-module
-// exclusion pressure), tclk ladders (trace-cache neighbor seeding), a
+// exclusion pressure), overlapping tclk ladders (trace-cache replays), a
 // pipelined grid, and one job that fails to compile.
 std::vector<JobRequest> job_set() {
   std::vector<JobRequest> jobs;
@@ -181,7 +181,7 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
       if (line.find("\"stats\"") != std::string::npos) continue;
       for (const char* field :
            {"\"passes\":", "\"relaxations\":", "\"seed_replays\":",
-            "\"seed_seeded\":", "\"seed_misses\":"}) {
+            "\"seed_misses\":"}) {
         const std::size_t at = line.find(field);
         if (at == std::string::npos) continue;
         std::size_t stop = line.find(',', at);
@@ -200,10 +200,55 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
   };
   ServerOptions on;
   on.threads = 2;
-  on.micro_batch = 1;  // maximize neighbor-seeding opportunities
+  on.micro_batch = 1;  // maximize exact-replay opportunities
   ServerOptions off = on;
   off.trace_cache = false;
   EXPECT_EQ(strip(run_stream(on, 0)), strip(run_stream(off, 0)));
+}
+
+// An inline source whose outermost loop holds a nested loop (the paper's
+// Figure 1 shape): every point fails with a structured [stage/code]
+// diagnostic, never an internal error.
+TEST(ServeStream, NestedLoopSourceFailsWithStructuredDiagnostic) {
+  JobRequest job;
+  job.id = 0;
+  job.source = R"(
+module nested {
+  in a: i32;
+  out y: i32;
+  thread {
+    forever {
+      var acc: i32 = 0;
+      wait;
+      do {
+        var d: i32 = a * a;
+        acc = acc + d;
+        wait;
+        y = acc;
+      } while (d != 0) latency(1, 3);
+    }
+  }
+}
+)";
+  for (double tclk : {1600.0, 1900.0}) {
+    core::ExploreConfig cfg;
+    cfg.tclk_ps = tclk;
+    cfg.latency = 4;
+    job.points.push_back(cfg);
+  }
+  Server server;
+  std::string error;
+  ASSERT_TRUE(server.submit(job, &error)) << error;
+  int failed_points = 0;
+  server.drain([&](const std::string& line) {
+    if (line.find("\"point\":") == std::string::npos) return;
+    ++failed_points;
+    EXPECT_NE(line.find("\"failure\":\"[microarch/nested-loop]"),
+              std::string::npos)
+        << line;
+    EXPECT_EQ(line.find("internal"), std::string::npos) << line;
+  });
+  EXPECT_EQ(failed_points, 2);
 }
 
 TEST(ServeDeterminism, RejectsDuplicateAndMalformedJobs) {

@@ -1,19 +1,15 @@
-// Cross-config warm-start equivalence golden suite: a run seeded from a
-// neighboring configuration's recorded ScheduleSeed must produce EXACTLY
-// the result a cold solve produces — same placements, same latency, same
-// II, same first-pass restraint trace — for every workloads::suite()
-// kernel, across a small tclk × latency × II grid, on both backends.
+// Cross-run seeding golden suite: an exact-configuration seed replays
+// the donor's result byte-for-byte in one pass for every
+// workloads::suite() kernel, and a seed from any other configuration —
+// another clock period, backend or pipelining shape — is ignored: the run
+// reports a miss and reproduces the cold result and pass count.
 //
 // This is the contract that lets the serve layer's trace cache change
-// pass counts without ever changing results (docs/SCHEDULER.md, "Seeding
-// rules"). The ladder-following protocol makes the first seeded pass a
-// cold pass by construction; this suite pins the rest empirically: the
-// one-jump shortcut either lands on the cold ladder's own destination or
-// rolls back onto it.
+// pass counts without ever changing results (docs/SCHEDULER.md,
+// "Cross-run seeding").
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "core/session.hpp"
 #include "workloads/workloads.hpp"
@@ -22,89 +18,13 @@ namespace hls::core {
 namespace {
 
 // Everything the scheduler decided, rendered to text. Pass counts and
-// seed bookkeeping are deliberately excluded — they are exactly what a
-// seed is ALLOWED to change.
+// seed bookkeeping are deliberately excluded — they are exactly what an
+// exact replay is ALLOWED to change.
 std::string result_fingerprint(const FlowResult& r) {
   if (!r.success) return "FAILED: " + r.failure_reason;
   std::string out = r.sched.schedule.to_table(r.module->thread.dfg);
   out += "num_steps=" + std::to_string(r.sched.schedule.num_steps);
   return out;
-}
-
-// The first pass of a seeded neighbor run must BE a cold pass: same
-// restraints, same success bit. (Exact-tclk replays are exempt — their
-// "first pass" is the donor's final pass by design.)
-void expect_first_pass_cold(const FlowResult& cold, const FlowResult& seeded,
-                            const std::string& label) {
-  ASSERT_FALSE(cold.sched.history.empty()) << label;
-  ASSERT_FALSE(seeded.sched.history.empty()) << label;
-  const auto& cold_first = cold.sched.history.front();
-  const auto& seed_first = seeded.sched.history.front();
-  EXPECT_EQ(cold_first.success, seed_first.success) << label;
-  EXPECT_EQ(cold_first.num_steps, seed_first.num_steps) << label;
-  EXPECT_EQ(cold_first.restraints, seed_first.restraints) << label;
-}
-
-TEST(SeedGolden, NeighborSeededEqualsColdAcrossSuiteGridBothBackends) {
-  const std::vector<double> tclks = {1600, 1900, 2200};
-  struct Shape {
-    int latency;
-    int ii;
-  };
-  const std::vector<Shape> shapes = {{12, 0}, {16, 0}, {16, 8}};
-
-  for (const auto& w : workloads::suite()) {
-    const FlowSession session(w);
-    ASSERT_TRUE(session.ok()) << w.name;
-    for (auto backend : {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
-      for (const Shape& shape : shapes) {
-        // Cold ladder: solve every tclk unseeded, recording seeds.
-        std::vector<FlowResult> cold;
-        for (double tclk : tclks) {
-          FlowOptions o;
-          o.tclk_ps = tclk;
-          o.backend = backend;
-          o.pipeline_ii = shape.ii;
-          o.latency_min = shape.latency;
-          o.latency_max = shape.latency;
-          o.emit_verilog = false;
-          o.record_seed = true;
-          cold.push_back(session.run(o));
-        }
-        // Seed every grid point from each adjacent neighbor (both the
-        // smaller- and larger-tclk donor, mirroring the trace cache's
-        // nearest-neighbor rule) and demand an identical result.
-        for (std::size_t i = 0; i < tclks.size(); ++i) {
-          for (const std::size_t donor : {i - 1, i + 1}) {
-            if (donor >= tclks.size()) continue;
-            if (!cold[donor].success) continue;  // no seed was recorded
-            FlowOptions o;
-            o.tclk_ps = tclks[i];
-            o.backend = backend;
-            o.pipeline_ii = shape.ii;
-            o.latency_min = shape.latency;
-            o.latency_max = shape.latency;
-            o.emit_verilog = false;
-            o.seed = &cold[donor].sched.seed_out;
-            const FlowResult seeded = session.run(o);
-            const std::string label =
-                w.name + " backend=" +
-                std::string(backend == sched::BackendKind::kList ? "list"
-                                                                 : "sdc") +
-                " latency=" + std::to_string(shape.latency) +
-                " ii=" + std::to_string(shape.ii) +
-                " tclk=" + std::to_string(tclks[i]) +
-                " donor=" + std::to_string(tclks[donor]);
-            EXPECT_EQ(result_fingerprint(cold[i]), result_fingerprint(seeded))
-                << label;
-            expect_first_pass_cold(cold[i], seeded, label);
-            EXPECT_NE(seeded.sched.seed_use, sched::SeedUse::kNone) << label;
-            EXPECT_NE(seeded.sched.seed_use, sched::SeedUse::kReplay) << label;
-          }
-        }
-      }
-    }
-  }
 }
 
 TEST(SeedGolden, ExactConfigReplayIsByteIdenticalAndOnePass) {
@@ -142,9 +62,11 @@ TEST(SeedGolden, IncompatibleSeedIsIgnoredNotApplied) {
   const FlowResult cold = session.run(o);
   ASSERT_TRUE(cold.success);
 
-  // Wrong backend, wrong pipelining shape: the driver must treat both as
-  // a miss and still reproduce the cold result.
-  for (auto mutate : {+[](sched::ScheduleSeed& s) {
+  // Neighboring clock period, wrong backend, wrong pipelining shape: the
+  // driver must treat each as a miss and reproduce the cold run, pass
+  // count included (a neighbor's recipe cannot skip passes soundly).
+  for (auto mutate : {+[](sched::ScheduleSeed& s) { s.tclk_ps = 1600; },
+                      +[](sched::ScheduleSeed& s) {
                         s.backend = sched::BackendKind::kSdc;
                       },
                       +[](sched::ScheduleSeed& s) {
@@ -158,6 +80,7 @@ TEST(SeedGolden, IncompatibleSeedIsIgnoredNotApplied) {
     seeded_opts.seed = &bad;
     const FlowResult seeded = session.run(seeded_opts);
     EXPECT_EQ(result_fingerprint(cold), result_fingerprint(seeded));
+    EXPECT_EQ(seeded.sched.passes, cold.sched.passes);
     EXPECT_EQ(seeded.sched.seed_use, sched::SeedUse::kMiss);
   }
 }

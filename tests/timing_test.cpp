@@ -145,10 +145,12 @@ TEST(DelayTables, PrewarmMatchesLibraryValues) {
 }
 
 TEST(DelayTables, SharedEngineMatchesLocalEngine) {
-  const auto& lib = artisan90();
-  const DelayTables tables = DelayTables::prewarm(lib);
-  TimingEngine local(lib, 1600);
-  TimingEngine shared(lib, 1600, &tables);
+  // An engine on the built-in library reads the process-wide tables; one
+  // on a copy of it (same delays, different identity) memoizes locally.
+  const tech::Library& lib = artisan90();
+  const tech::Library copy = lib;
+  TimingEngine local(copy, 1600);
+  TimingEngine shared(lib, 1600);
   PathQuery q;
   q.operand_arrivals_ps = {40, 40};
   q.cls = FuClass::kMultiplier;
@@ -157,27 +159,29 @@ TEST(DelayTables, SharedEngineMatchesLocalEngine) {
   q.out_mux_inputs = 2;
   EXPECT_DOUBLE_EQ(shared.output_arrival_ps(q), local.output_arrival_ps(q));
   // A shared-table lookup counts as a cache hit from the very first query
-  // (that is the point: no cold misses in explore workers).
-  TimingEngine fresh(lib, 1600, &tables);
-  const auto hits0 = fresh.cache_hits();
+  // (that is the point: no cold misses in explore workers); a local one
+  // starts cold.
+  TimingEngine fresh(lib, 1600);
   fresh.fu_delay_ps(FuClass::kMultiplier, 32);
-  EXPECT_GT(fresh.cache_hits(), hits0);
+  EXPECT_EQ(fresh.cache_hits(), 1u);
+  TimingEngine fresh_local(copy, 1600);
+  fresh_local.fu_delay_ps(FuClass::kMultiplier, 32);
+  EXPECT_EQ(fresh_local.cache_hits(), 0u);
 }
 
 TEST(DelayTables, WidthBeyondTablesFallsBackToLocalMemo) {
   const auto& lib = artisan90();
-  const DelayTables tables = DelayTables::prewarm(lib, /*max_width=*/8,
-                                                  /*max_mux=*/4);
-  TimingEngine shared(lib, 1600, &tables);
-  // 32 bits is beyond the 8-bit prewarmed range: first lookup is a cold
-  // library call, the second hits the engine-local memo.
-  const double d1 = shared.fu_delay_ps(FuClass::kMultiplier, 32);
+  TimingEngine shared(lib, 1600);
+  // A 100-input mux is beyond the prewarmed fan-in range: the first
+  // lookup is a cold library call, the second hits the engine-local memo.
+  const double d1 = shared.mux_delay_ps(100);
   const auto hits0 = shared.cache_hits();
-  const double d2 = shared.fu_delay_ps(FuClass::kMultiplier, 32);
-  EXPECT_DOUBLE_EQ(d1, lib.fu_delay_ps(FuClass::kMultiplier, 32));
+  const double d2 = shared.mux_delay_ps(100);
+  EXPECT_DOUBLE_EQ(d1, lib.mux_delay_ps(100));
   EXPECT_DOUBLE_EQ(d1, d2);
   EXPECT_EQ(shared.cache_hits(), hits0 + 1);
-  EXPECT_DOUBLE_EQ(shared.mux_delay_ps(16), lib.mux_delay_ps(16));
+  EXPECT_DOUBLE_EQ(shared.fu_delay_ps(FuClass::kMultiplier, 64),
+                   lib.fu_delay_ps(FuClass::kMultiplier, 64));
 }
 
 // ---- Combinational cycle graph (Figure 6) ----------------------------------------
