@@ -302,19 +302,35 @@ TraceKey key_at(std::uint64_t module, int ii, double tclk) {
   return TraceKey{module, ii, 14, sched::BackendKind::kList, tclk};
 }
 
-TEST(TraceCache, DifferentTclkMisses) {
+TEST(TraceCache, ExactBucketBeatsNeighbor) {
   TraceCache cache(8);
   cache.insert(key_at(1, 0, 1400), seed_at(1400));
   cache.insert(key_at(1, 0, 1600), seed_at(1600));
   const sched::ScheduleSeed* hit = cache.lookup(key_at(1, 0, 1600));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->tclk_ps, 1600);
+  hit = cache.lookup(key_at(1, 0, 1400));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->tclk_ps, 1400);
   // A neighboring clock period is a miss, however close.
-  EXPECT_EQ(cache.lookup(key_at(1, 0, 1500)), nullptr);
   EXPECT_EQ(cache.lookup(key_at(1, 0, 1450)), nullptr);
   EXPECT_EQ(cache.lookups(), 3u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(TraceCache, NearestNeighborTieBreaksTowardSmallerTclk) {
+  TraceCache cache(8);
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
+  cache.insert(key_at(1, 0, 1600), seed_at(1600));
+  // 1500 is 100 ps from both seeds. Lookup is exact only, so there is no
+  // nearest neighbor to break the tie toward: neither seed is returned,
+  // the smaller period's included.
+  EXPECT_EQ(cache.lookup(key_at(1, 0, 1500)), nullptr);
+  EXPECT_EQ(cache.lookups(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TraceCache, KeyFieldsMustMatchExactly) {

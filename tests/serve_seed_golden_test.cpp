@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/session.hpp"
 #include "workloads/workloads.hpp"
@@ -25,6 +26,76 @@ std::string result_fingerprint(const FlowResult& r) {
   std::string out = r.sched.schedule.to_table(r.module->thread.dfg);
   out += "num_steps=" + std::to_string(r.sched.schedule.num_steps);
   return out;
+}
+
+// A seed recorded at a neighboring clock period is not applied: for every
+// suite kernel, across a small tclk x latency x II grid, on both backends,
+// the run reports a miss and reproduces the cold run exactly (result,
+// pass count and every pass's restraints).
+TEST(SeedGolden, NeighborSeededEqualsColdAcrossSuiteGridBothBackends) {
+  const std::vector<double> tclks = {1600, 1900, 2200};
+  struct Shape {
+    int latency;
+    int ii;
+  };
+  const std::vector<Shape> shapes = {{12, 0}, {16, 0}, {16, 8}};
+
+  for (const auto& w : workloads::suite()) {
+    const FlowSession session(w);
+    ASSERT_TRUE(session.ok()) << w.name;
+    for (auto backend : {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
+      for (const Shape& shape : shapes) {
+        std::vector<FlowOptions> opts;
+        std::vector<FlowResult> cold;
+        for (double tclk : tclks) {
+          FlowOptions o;
+          o.tclk_ps = tclk;
+          o.backend = backend;
+          o.pipeline_ii = shape.ii;
+          o.latency_min = shape.latency;
+          o.latency_max = shape.latency;
+          o.emit_verilog = false;
+          o.record_seed = true;
+          cold.push_back(session.run(o));
+          o.record_seed = false;
+          opts.push_back(o);
+        }
+        // Offer each grid point the seed of each adjacent clock period.
+        for (std::size_t i = 0; i < tclks.size(); ++i) {
+          for (const std::size_t donor : {i - 1, i + 1}) {
+            if (donor >= tclks.size()) continue;
+            if (!cold[donor].success) continue;  // no seed was recorded
+            FlowOptions o = opts[i];
+            o.seed = &cold[donor].sched.seed_out;
+            const FlowResult seeded = session.run(o);
+            const std::string label =
+                w.name + " backend=" +
+                std::string(backend == sched::BackendKind::kList ? "list"
+                                                                 : "sdc") +
+                " latency=" + std::to_string(shape.latency) +
+                " ii=" + std::to_string(shape.ii) +
+                " tclk=" + std::to_string(tclks[i]) +
+                " donor=" + std::to_string(tclks[donor]);
+            EXPECT_EQ(result_fingerprint(cold[i]), result_fingerprint(seeded))
+                << label;
+            EXPECT_EQ(seeded.sched.seed_use, sched::SeedUse::kMiss) << label;
+            EXPECT_EQ(seeded.sched.passes, cold[i].sched.passes) << label;
+            ASSERT_EQ(seeded.sched.history.size(),
+                      cold[i].sched.history.size())
+                << label;
+            for (std::size_t p = 0; p < cold[i].sched.history.size(); ++p) {
+              EXPECT_EQ(seeded.sched.history[p].success,
+                        cold[i].sched.history[p].success)
+                  << label << " pass=" << p;
+              EXPECT_EQ(seeded.sched.history[p].restraints,
+                        cold[i].sched.history[p].restraints)
+                  << label << " pass=" << p;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SeedGolden, ExactConfigReplayIsByteIdenticalAndOnePass) {
