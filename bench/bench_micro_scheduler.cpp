@@ -199,8 +199,11 @@ double fitted_exponent(const std::vector<std::pair<int, double>>& points) {
 }
 
 // Times one schedule_region per design size for `backend`, appending a
-// {ops, passes, success, total_ns, ns_per_pass} entry per size under the
-// current JSON array, and returns the (ops, ns_per_pass) points.
+// {ops, passes, success, total_ns, ns_per_pass, timing_queries,
+// engine_commits} entry per size under the current JSON array, and
+// returns the (ops, ns_per_pass) points. The two work counters are
+// machine-independent and reported only; compare_baseline.py gates
+// ns_per_pass.
 // `warm_start` toggles trace-replay warm starts across relaxation passes
 // (both backends support them; the warm/cold delta is the per-size
 // warm-start win).
@@ -236,6 +239,10 @@ std::vector<std::pair<int, double>> emit_backend_sweep(
     w.value(s * 1e9);
     w.key("ns_per_pass");
     w.value(ns_per_pass);
+    w.key("timing_queries");
+    w.value(r.timing_queries);
+    w.key("engine_commits");
+    w.value(r.engine_commits);
     w.end_object();
   }
   return per_pass;

@@ -77,6 +77,49 @@ int effective_count(const Dfg& dfg, const std::vector<OpId>& ops) {
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
+/// A pool member as the interval sweep sees it.
+struct SweepOp {
+  int asap;
+  int alap;
+  int group;  ///< predicate group index; -1 = counts alone
+  bool value;
+};
+
+/// max over step intervals [a, b] of ceil(N_eff(a, b) * occupancy /
+/// (b - a + 1)), where N_eff counts the ops whose span lies inside the
+/// interval. For each `a` one sweep over b adds ops as b reaches their
+/// ALAP, keeping max(#true, #false) per predicate group incrementally:
+/// O(S * (S + N)) per pool instead of building every interval's op list.
+int interval_demand(std::vector<SweepOp>& ops, int num_groups, int num_steps,
+                    int occupancy) {
+  std::sort(ops.begin(), ops.end(),
+            [](const SweepOp& x, const SweepOp& y) { return x.alap < y.alap; });
+  std::vector<std::pair<int, int>> tally(static_cast<std::size_t>(num_groups));
+  int demand = 1;
+  for (int a = 0; a < num_steps; ++a) {
+    std::fill(tally.begin(), tally.end(), std::pair<int, int>{0, 0});
+    int n = 0;  // effective count of the ops added so far
+    std::size_t next = 0;
+    for (int b = a; b < num_steps; ++b) {
+      // An op with asap >= a lies inside [a, b] from b = max(alap, a) on.
+      for (; next < ops.size() && std::max(ops[next].alap, a) <= b; ++next) {
+        const SweepOp& op = ops[next];
+        if (op.asap < a) continue;
+        if (op.group < 0) {
+          ++n;
+          continue;
+        }
+        auto& [t, f] = tally[static_cast<std::size_t>(op.group)];
+        const int before = std::max(t, f);
+        ++(op.value ? t : f);
+        n += std::max(t, f) - before;
+      }
+      if (n > 0) demand = std::max(demand, ceil_div(n * occupancy, b - a + 1));
+    }
+  }
+  return demand;
+}
+
 }  // namespace
 
 ResourceSet estimate_initial_counts(const Dfg& dfg, ResourceSet set,
@@ -84,6 +127,8 @@ ResourceSet estimate_initial_counts(const Dfg& dfg, ResourceSet set,
                                     int num_steps,
                                     const EstimateOptions& opts) {
   const auto members = set.members();
+  std::vector<SweepOp> sweep;
+  std::map<OpId, int> groups;
   for (std::size_t p = 0; p < set.pools.size(); ++p) {
     const auto& ops = members[p];
     if (ops.empty()) {
@@ -91,23 +136,20 @@ ResourceSet estimate_initial_counts(const Dfg& dfg, ResourceSet set,
       continue;
     }
     const int occupancy = std::max(1, set.pools[p].latency_cycles);
-    int demand = 1;
-    // Interval analysis over all [a, b] step windows.
-    for (int a = 0; a < num_steps; ++a) {
-      for (int b = a; b < num_steps; ++b) {
-        std::vector<OpId> inside;
-        for (OpId id : ops) {
-          const OpSpan& sp = spans.spans[id];
-          if (sp.asap >= a && sp.alap <= b) inside.push_back(id);
-        }
-        if (inside.empty()) continue;
-        const int n = opts.use_mutual_exclusivity
-                          ? effective_count(dfg, inside)
-                          : static_cast<int>(inside.size());
-        demand = std::max(
-            demand, ceil_div(n * occupancy, b - a + 1));
+    sweep.clear();
+    groups.clear();
+    for (OpId id : ops) {
+      const OpSpan& sp = spans.spans[id];
+      const ir::Op& o = dfg.op(id);
+      int group = -1;
+      if (opts.use_mutual_exclusivity && o.pred != kNoOp) {
+        group = groups.try_emplace(o.pred, static_cast<int>(groups.size()))
+                    .first->second;
       }
+      sweep.push_back({sp.asap, sp.alap, group, o.pred_value});
     }
+    int demand = interval_demand(sweep, static_cast<int>(groups.size()),
+                                 num_steps, occupancy);
     if (opts.pipeline_ii > 0) {
       // An instance is busy on all steps equivalent modulo II, so it offers
       // at most II slots regardless of the latency interval.

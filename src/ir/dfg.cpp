@@ -1,6 +1,8 @@
 #include "ir/dfg.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "support/diagnostics.hpp"
 
@@ -213,23 +215,21 @@ std::vector<OpId> Dfg::topo_order() const {
       ++indegree[id];
     }
   }
-  std::vector<OpId> ready;
+  // Min-heap on id: the smallest ready id always comes out first, which
+  // makes the order deterministic.
+  std::priority_queue<OpId, std::vector<OpId>, std::greater<>> ready;
   for (OpId id = 0; id < ops_.size(); ++id) {
-    if (indegree[id] == 0) ready.push_back(id);
+    if (indegree[id] == 0) ready.push(id);
   }
   std::vector<OpId> order;
   order.reserve(ops_.size());
-  std::size_t head = 0;
-  while (head < ready.size()) {
-    // Pick the smallest id among remaining ready ops for deterministic order.
-    auto it = std::min_element(ready.begin() + static_cast<std::ptrdiff_t>(head),
-                               ready.end());
-    std::swap(*it, ready[head]);
-    const OpId id = ready[head++];
+  while (!ready.empty()) {
+    const OpId id = ready.top();
+    ready.pop();
     order.push_back(id);
     for (OpId u : adj[id]) {
       HLS_ASSERT(indegree[u] > 0, "topo indegree underflow");
-      if (--indegree[u] == 0) ready.push_back(u);
+      if (--indegree[u] == 0) ready.push(u);
     }
   }
   HLS_ASSERT(order.size() == ops_.size(),

@@ -1,6 +1,8 @@
 #include "sched/binder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -67,8 +69,22 @@ BindingEngine::BindingEngine(const Problem& p, const DependenceGraph& dg,
   occ_.assign(static_cast<std::size_t>(num_.total) *
                   static_cast<std::size_t>(num_slots_),
               {});
+  busy_base_.reserve(p_->resources.pools.size());
+  for (const auto& pool : p_->resources.pools) {
+    busy_base_.push_back(busy_words_);
+    busy_words_ += (pool.count + 63) / 64;
+  }
+  busy_bits_.assign(static_cast<std::size_t>(busy_words_) *
+                        static_cast<std::size_t>(num_slots_),
+                    0);
   inst_ops_.assign(static_cast<std::size_t>(num_.total), 0);
-  refusals_.assign(dfg_->size(), {});
+  tallies_.assign(dfg_->size(), RefusalTally{});
+  // Without avoidance nothing queries the graph, so it stays empty.
+  if (p_->avoid_comb_cycles) comb_graph_ = timing::CombCycleGraph(num_.total);
+  if (p_->pipeline.enabled) {
+    scc_steps_.assign(p_->sccs.size(), {std::numeric_limits<int>::max(),
+                                        std::numeric_limits<int>::min()});
+  }
   build_forbidden();
 }
 
@@ -107,49 +123,69 @@ double BindingEngine::operand_arrival(OpId d, int e) const {
 
 /// All data operands (carried edges excluded) plus, for no-speculate
 /// ops, the predicate (its enable must settle before the clock edge).
-/// Fills the reusable scratch buffer (one gather per try_bind, not one
+/// Fills the scratch query's arrivals (one gather per try_bind, not one
 /// per candidate instance).
 void BindingEngine::gather_arrivals(OpId id, int e) {
   const Op& o = dfg_->op(id);
-  arrivals_.clear();
+  auto& arrivals = pq_.operand_arrivals_ps;
+  arrivals.clear();
   for (std::size_t i = 0; i < o.operands.size(); ++i) {
     if (o.kind == OpKind::kLoopMux && i == 1) continue;
     if (o.operands[i] == kNoOp) continue;
-    arrivals_.push_back(operand_arrival(o.operands[i], e));
+    arrivals.push_back(operand_arrival(o.operands[i], e));
   }
   if (o.pred != kNoOp && o.no_speculate && p_->in_region(o.pred)) {
-    arrivals_.push_back(operand_arrival(o.pred, e));
+    arrivals.push_back(operand_arrival(o.pred, e));
   }
 }
 
-bool BindingEngine::candidate_timing(int pool, int inst, int lat,
-                                     double* arrival, double* slack) {
+BindingEngine::MuxTiming BindingEngine::candidate_timing(OpId id, int e,
+                                                         int pool, int inst,
+                                                         int lat) {
+  const int mux_inputs =
+      lat == 0 && pool_shared(pool)
+          ? std::max(2, inst_ops_[static_cast<std::size_t>(
+                            num_.global(pool, inst))] +
+                            1)
+          : 0;
+  const auto key = static_cast<std::size_t>(mux_inputs);
+  if (key >= mux_timings_.size()) {
+    mux_timings_.resize(key + 1);
+    mux_stamp_.resize(key + 1, 0);
+  }
+  if (mux_stamp_[key] == bind_epoch_) return mux_timings_[key];
+  if (arrivals_epoch_ != bind_epoch_) {
+    gather_arrivals(id, e);
+    arrivals_epoch_ = bind_epoch_;
+  }
+  MuxTiming t;
   const auto& pdesc = p_->resources.pools[static_cast<std::size_t>(pool)];
   if (lat > 0) {
     // Multi-cycle: operands must be registered at execution start.
-    for (double a : arrivals_) {
-      if (a > p_->lib->reg_clk_to_q_ps() + 1e-9) {
-        *slack = -1e18;  // not representable: needs registered inputs
-        *arrival = 0;
-        return false;
-      }
+    const bool registered = std::all_of(
+        pq_.operand_arrivals_ps.begin(), pq_.operand_arrivals_ps.end(),
+        [&](double a) { return a <= p_->lib->reg_clk_to_q_ps() + 1e-9; });
+    if (!registered) {
+      t.slack = -1e18;  // not representable: needs registered inputs
+    } else {
+      t.arrival = p_->lib->reg_clk_to_q_ps();  // registered result
+      const double internal = p_->lib->fu_delay_into_cycle_ps(pdesc.cls) +
+                              p_->lib->reg_setup_ps();
+      t.slack = p_->tclk_ps - internal;
+      t.ok = t.slack >= -1e-9;
     }
-    *arrival = p_->lib->reg_clk_to_q_ps();  // registered result
-    const double internal =
-        p_->lib->fu_delay_into_cycle_ps(pdesc.cls) + p_->lib->reg_setup_ps();
-    *slack = p_->tclk_ps - internal;
-    return *slack >= -1e-9;
+  } else {
+    pq_.cls = pdesc.cls;
+    pq_.width = pdesc.width;
+    pq_.in_mux_inputs = mux_inputs;
+    pq_.out_mux_inputs = mux_inputs;
+    t.arrival = eng_->output_arrival_ps(pq_);
+    t.slack = eng_->register_slack_ps(t.arrival);
+    t.ok = t.slack >= -1e-9;
   }
-  const bool shared = pool_shared(pool);
-  const int n_ops =
-      inst_ops_[static_cast<std::size_t>(num_.global(pool, inst))] + 1;
-  pq_.cls = pdesc.cls;
-  pq_.width = pdesc.width;
-  pq_.in_mux_inputs = shared ? std::max(2, n_ops) : 0;
-  pq_.out_mux_inputs = shared ? std::max(2, n_ops) : 0;
-  *arrival = eng_->output_arrival_ps(pq_);
-  *slack = eng_->register_slack_ps(*arrival);
-  return *slack >= -1e-9;
+  mux_stamp_[key] = bind_epoch_;
+  mux_timings_[key] = t;
+  return t;
 }
 
 // ---- Binding ----------------------------------------------------------------
@@ -158,14 +194,10 @@ bool BindingEngine::scc_window_ok(OpId id, int result_step) const {
   if (!p_->pipeline.enabled) return true;
   const int scc = p_->scc_of[id];
   if (scc < 0) return true;
-  int lo = result_step;
-  int hi = result_step;
-  for (OpId member : p_->sccs[static_cast<std::size_t>(scc)]) {
-    if (member == id || !placement_[member].scheduled) continue;
-    lo = std::min(lo, placement_[member].step);
-    hi = std::max(hi, placement_[member].step);
-  }
-  return hi - lo <= p_->pipeline.ii - 1;
+  // The op itself is not placed yet, so the SCC's range is its members'.
+  const auto [lo, hi] = scc_steps_[static_cast<std::size_t>(scc)];
+  return std::max(hi, result_step) - std::min(lo, result_step) <=
+         p_->pipeline.ii - 1;
 }
 
 bool BindingEngine::instance_free(OpId id, int pool, int inst, int e, int lat,
@@ -187,14 +219,27 @@ bool BindingEngine::instance_free(OpId id, int pool, int inst, int e, int lat,
   return true;
 }
 
-bool BindingEngine::creates_comb_cycle(OpId id, int pool, int inst,
-                                       int e) const {
+const std::uint64_t* BindingEngine::busy_words(int pool, int e, int lat) {
+  const auto& pdesc = p_->resources.pools[static_cast<std::size_t>(pool)];
+  const auto row = [&](int s) {
+    return busy_bits_.data() +
+           static_cast<std::size_t>(slot_of(s)) *
+               static_cast<std::size_t>(busy_words_) +
+           static_cast<std::size_t>(busy_base_[static_cast<std::size_t>(pool)]);
+  };
+  if (lat <= 1) return row(e);  // one slot: its row as it stands
+  const std::size_t words = static_cast<std::size_t>(pdesc.count + 63) / 64;
+  busy_scratch_.assign(words, 0);
+  for (int s = e; s < e + lat; ++s) {
+    const std::uint64_t* r = row(s);
+    for (std::size_t w = 0; w < words; ++w) busy_scratch_[w] |= r[w];
+  }
+  return busy_scratch_.data();
+}
+
+bool BindingEngine::creates_comb_cycle(int pool, int inst) const {
   const int me = num_.global(pool, inst);
-  for (OpId d : dg_->deps[id]) {
-    const OpPlacement& pl = placement_[d];
-    if (pl.step != e || pl.pool < 0) continue;  // only chained FU deps
-    if (latency_of(d) > 0) continue;            // registered result
-    const int from = num_.global(pl.pool, pl.instance);
+  for (const int from : chained_from_) {
     if (comb_graph_.would_create_cycle(from, me)) return true;
   }
   return false;
@@ -238,14 +283,6 @@ RestraintKind BindingEngine::classify_memory_busy(OpId id, int pool,
   return RestraintKind::kPortPressure;
 }
 
-namespace {
-struct Candidate {
-  int instance = -1;
-  double arrival = 0;
-  double slack = 0;
-};
-}  // namespace
-
 bool BindingEngine::try_bind(OpId id, int e) {
   const int pool = p_->resources.pool_of(id);
   if (pool < 0) return bind_free(id, e);
@@ -269,8 +306,7 @@ bool BindingEngine::try_bind(OpId id, int e) {
     return false;
   }
 
-  gather_arrivals(id, e);
-  pq_.operand_arrivals_ps = arrivals_;  // one copy for all candidates
+  ++bind_epoch_;  // new timing memo; operands gathered on the first miss
   // Exclusive sharing needs the op's predicate available at this step;
   // that is invariant across instances and slots, so check it once.
   const Op& o = dfg_->op(id);
@@ -293,41 +329,79 @@ bool BindingEngine::try_bind(OpId id, int e) {
     }
   }
 
-  std::vector<Candidate> feasible_negative;
-  for (int inst = 0; inst < pdesc.count; ++inst) {
-    if (pdesc.is_memory && !memory_instance_ok(id, pdesc, inst)) {
-      continue;  // wrong bank / direction: not a candidate, not a refusal
+  // Chained FU producers (registered results excepted): each new chaining
+  // edge producer -> candidate must not close a comb cycle.
+  chained_from_.clear();
+  if (p_->avoid_comb_cycles) {
+    for (OpId d : dg_->deps[id]) {
+      const OpPlacement& pl = placement_[d];
+      if (pl.step != e || pl.pool < 0 || latency_of(d) > 0) continue;
+      chained_from_.push_back(num_.global(pl.pool, pl.instance));
     }
+  }
+
+  feasible_negative_.clear();
+  const auto bind_instance = [&](int inst) {
     if (is_forbidden(id, pool, inst)) {
       note_refusal(id, e, pool, inst, RefuseCause::kForbidden);
-      continue;
+      return false;
     }
-    if (!instance_free(id, pool, inst, e, lat, excl_pred_ready)) {
-      note_refusal(id, e, pool, inst, RefuseCause::kBusy);
-      continue;
-    }
-    if (p_->avoid_comb_cycles && creates_comb_cycle(id, pool, inst, e)) {
+    if (creates_comb_cycle(pool, inst)) {
       note_refusal(id, e, pool, inst, RefuseCause::kCycle);
-      continue;
+      return false;
     }
-    // Timing.
-    double arrival = 0;
-    double slack = 0;
-    if (!candidate_timing(pool, inst, lat, &arrival, &slack)) {
-      note_refusal(id, e, pool, inst, RefuseCause::kSlack, slack);
-      if (slack > -1e17) {
-        feasible_negative.push_back({inst, arrival, slack});
-      }
-      continue;
+    const MuxTiming t = candidate_timing(id, e, pool, inst, lat);
+    if (!t.ok) {
+      note_refusal(id, e, pool, inst, RefuseCause::kSlack, t.slack);
+      if (t.slack > -1e17) feasible_negative_.push_back({inst, t.arrival, t.slack});
+      return false;
     }
-    commit(id, pool, inst, e, lat, arrival);
+    commit(id, pool, inst, e, lat, t.arrival);
     return true;
+  };
+
+  if (!pdesc.is_memory && !(p_->exclusive_colocation && excl_pred_ready)) {
+    // The op cannot share a slot: every occupied instance refuses as busy,
+    // so count them in one go and try only the free ones, in order. The
+    // count may include instances past the one that binds; only an op
+    // that fails ever reads its tally.
+    const std::uint64_t* busy_bits = busy_words(pool, e, lat);
+    const int words = (pdesc.count + 63) / 64;
+    int busy = 0;
+    for (int w = 0; w < words; ++w) busy += std::popcount(busy_bits[w]);
+    if (busy > 0) tally_at(id, e, pool).busy += busy;
+    // First instance at or after `from` with a clear busy bit.
+    const auto next_free = [&](int from) {
+      for (int w = from / 64; w < words; ++w) {
+        std::uint64_t free_bits = ~busy_bits[w];
+        if (w == from / 64) free_bits &= ~std::uint64_t{0} << (from % 64);
+        if (free_bits != 0) {
+          return std::min(pdesc.count, w * 64 + std::countr_zero(free_bits));
+        }
+      }
+      return pdesc.count;
+    };
+    for (int inst = next_free(0); inst < pdesc.count;
+         inst = next_free(inst + 1)) {
+      if (bind_instance(inst)) return true;
+    }
+  } else {
+    for (int inst = 0; inst < pdesc.count; ++inst) {
+      if (pdesc.is_memory && !memory_instance_ok(id, pdesc, inst)) {
+        continue;  // wrong bank / direction: not a candidate, not a refusal
+      }
+      if (!instance_free(id, pool, inst, e, lat, excl_pred_ready)) {
+        note_refusal(id, e, pool, inst, RefuseCause::kBusy);
+        continue;
+      }
+      if (bind_instance(inst)) return true;
+    }
   }
-  if (p_->accept_negative_slack && !feasible_negative.empty()) {
+  if (p_->accept_negative_slack && !feasible_negative_.empty()) {
     // Last-resort mode: take the least-negative binding; logic synthesis
     // will have to recover the slack with area (Table 4's mechanism).
     auto best = std::max_element(
-        feasible_negative.begin(), feasible_negative.end(),
+        feasible_negative_.begin(), feasible_negative_.end(),
         [](const Candidate& a, const Candidate& b) {
           return a.slack < b.slack;
         });
@@ -357,12 +431,10 @@ bool BindingEngine::bind_free(OpId id, int e) {
     }
   }
   gather_arrivals(id, e);
-  timing::PathQuery q;
-  q.operand_arrivals_ps = arrivals_;
-  q.cls = FuClass::kNone;
+  pq_.cls = FuClass::kNone;  // wiring only: the latest operand arrival
   const double arrival = o.kind == OpKind::kRead
                              ? p_->lib->reg_clk_to_q_ps()
-                             : eng_->output_arrival_ps(q);
+                             : eng_->output_arrival_ps(pq_);
   const double slack = eng_->register_slack_ps(arrival);
   if (slack < -1e-9 && !p_->accept_negative_slack) {
     note_refusal(id, e, -1, -1, RefuseCause::kSlack, slack);
@@ -384,14 +456,19 @@ void BindingEngine::commit(OpId id, int pool, int inst, int e, int lat,
   if (pool >= 0) {
     const int g = num_.global(pool, inst);
     const int span = std::max(1, lat);
+    const std::size_t word = static_cast<std::size_t>(
+        busy_base_[static_cast<std::size_t>(pool)] + inst / 64);
     for (int s = e; s < e + span; ++s) {
+      const auto slot = static_cast<std::size_t>(slot_of(s));
       occ_[static_cast<std::size_t>(g) * static_cast<std::size_t>(num_slots_) +
-           static_cast<std::size_t>(slot_of(s))]
+           slot]
           .push_back(id);
+      busy_bits_[slot * static_cast<std::size_t>(busy_words_) + word] |=
+          std::uint64_t{1} << (inst % 64);
     }
     ++inst_ops_[static_cast<std::size_t>(g)];
     // Register chaining edges for false-cycle avoidance.
-    if (lat == 0) {
+    if (lat == 0 && p_->avoid_comb_cycles) {
       for (OpId d : dg_->deps[id]) {
         const OpPlacement& dp = placement_[d];
         if (dp.step == e + lat && dp.pool >= 0 && latency_of(d) == 0) {
@@ -399,6 +476,11 @@ void BindingEngine::commit(OpId id, int pool, int inst, int e, int lat,
         }
       }
     }
+  }
+  if (p_->pipeline.enabled && p_->scc_of[id] >= 0) {
+    auto& [lo, hi] = scc_steps_[static_cast<std::size_t>(p_->scc_of[id])];
+    lo = std::min(lo, pl.step);
+    hi = std::max(hi, pl.step);
   }
   host_->on_commit(id, pool, inst, e, lat, arrival);
 
@@ -417,41 +499,45 @@ void BindingEngine::commit(OpId id, int pool, int inst, int e, int lat,
 
 // ---- Failure bookkeeping ----------------------------------------------------
 
+BindingEngine::RefusalTally& BindingEngine::tally_at(OpId id, int e,
+                                                    int pool) {
+  RefusalTally& t = tallies_[id];
+  if (t.step != e) {
+    t = RefusalTally{};
+    t.step = e;
+  }
+  t.pool = std::max(t.pool, pool);
+  return t;
+}
+
 void BindingEngine::note_refusal(OpId id, int e, int pool, int inst,
                                  RefuseCause cause, double slack) {
-  refusals_[id].push_back({e, pool, inst, cause, slack});
+  RefusalTally& t = tally_at(id, e, pool);
+  switch (cause) {
+    case RefuseCause::kBusy: ++t.busy; break;
+    case RefuseCause::kForbidden: ++t.busy; break;
+    case RefuseCause::kSlack:
+      t.slack_seen = true;
+      t.best_slack = std::max(t.best_slack, slack);
+      break;
+    case RefuseCause::kCycle:
+      t.cycle_pool = pool;
+      t.cycle_inst = inst;
+      break;
+    case RefuseCause::kWindow: t.window_seen = true; break;
+  }
 }
 
 void BindingEngine::fatal(OpId id, int e) {
   failed_[id] = true;
   failed_list_.push_back(id);
   // Aggregate the refusal causes at the deadline step into restraints.
-  const auto& refusals = refusals_[id];
-  if (!refusals.empty()) {
-    int busy = 0;
-    int cycle_pool = -1;
-    int cycle_inst = -1;
-    double best_slack = -1e18;
-    bool slack_seen = false;
-    bool window_seen = false;
-    int pool = -1;
-    for (const auto& r : refusals) {
-      if (r.step != e) continue;
-      pool = std::max(pool, r.pool);
-      switch (r.cause) {
-        case RefuseCause::kBusy: ++busy; break;
-        case RefuseCause::kForbidden: ++busy; break;
-        case RefuseCause::kSlack:
-          slack_seen = true;
-          best_slack = std::max(best_slack, r.slack);
-          break;
-        case RefuseCause::kCycle:
-          cycle_pool = r.pool;
-          cycle_inst = r.instance;
-          break;
-        case RefuseCause::kWindow: window_seen = true; break;
-      }
-    }
+  const RefusalTally& t = tallies_[id];
+  if (t.step == e) {
+    const int busy = t.busy;
+    const int pool = t.pool;
+    const double best_slack = t.best_slack;
+    const bool slack_seen = t.slack_seen;
     if (busy > 0) {
       Restraint r;
       r.kind =
@@ -500,16 +586,16 @@ void BindingEngine::fatal(OpId id, int e) {
         restraints_.push_back(r);
       }
     }
-    if (cycle_pool >= 0) {
+    if (t.cycle_pool >= 0) {
       Restraint r;
       r.kind = RestraintKind::kCombCycle;
       r.op = id;
       r.step = e;
-      r.pool = cycle_pool;
-      r.instance = cycle_inst;
+      r.pool = t.cycle_pool;
+      r.instance = t.cycle_inst;
       restraints_.push_back(r);
     }
-    if (window_seen) {
+    if (t.window_seen) {
       Restraint r;
       r.kind = RestraintKind::kSccWindow;
       r.op = id;
@@ -752,20 +838,25 @@ double finalize_timing(const Problem& p, Schedule& s,
                        timing::TimingEngine& eng, ir::OpId* worst_op_out) {
   const ir::Dfg& dfg = *p.dfg;
   // Final op count per instance determines the real mux sizes.
-  std::map<std::pair<int, int>, int> final_counts;
+  const alloc::InstanceNumbering num = s.resources.numbering();
+  std::vector<int> final_counts(static_cast<std::size_t>(num.total), 0);
   for (OpId id : p.ops) {
     const OpPlacement& pl = s.placement[id];
     if (pl.scheduled && pl.pool >= 0) {
-      ++final_counts[{pl.pool, pl.instance}];
+      ++final_counts[static_cast<std::size_t>(num.global(pl.pool, pl.instance))];
     }
   }
   double worst = 1e18;
   OpId worst_op = kNoOp;
-  for (OpId id : dfg.topo_order()) {
+  timing::PathQuery q;
+  // The region's ops in the DFG's topological order (the span context
+  // filters Dfg::topo_order once per problem).
+  for (OpId id : p.span_context->order) {
     OpPlacement& pl = s.placement[id];
-    if (!pl.scheduled || !p.in_region(id)) continue;
+    if (!pl.scheduled) continue;
     const Op& o = dfg.op(id);
-    std::vector<double> arrivals;
+    auto& arrivals = q.operand_arrivals_ps;
+    arrivals.clear();
     for (std::size_t i = 0; i < o.operands.size(); ++i) {
       if (o.kind == OpKind::kLoopMux && i == 1) continue;
       const OpId d = o.operands[i];
@@ -785,9 +876,8 @@ double finalize_timing(const Problem& p, Schedule& s,
         arrival = p.lib->reg_clk_to_q_ps();
       } else {
         const bool shared = p.pool_members(pl.pool) > pdesc.count;
-        const int n = final_counts[{pl.pool, pl.instance}];
-        timing::PathQuery q;
-        q.operand_arrivals_ps = arrivals;
+        const int n = final_counts[static_cast<std::size_t>(
+            num.global(pl.pool, pl.instance))];
         q.cls = pdesc.cls;
         q.width = pdesc.width;
         q.in_mux_inputs = shared ? std::max(2, n) : 0;
@@ -797,8 +887,6 @@ double finalize_timing(const Problem& p, Schedule& s,
     } else if (o.kind == OpKind::kRead) {
       arrival = p.lib->reg_clk_to_q_ps();
     } else {
-      timing::PathQuery q;
-      q.operand_arrivals_ps = arrivals;
       q.cls = FuClass::kNone;
       arrival = eng.output_arrival_ps(q);
     }

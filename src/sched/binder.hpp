@@ -21,8 +21,11 @@
 // pass-invariant and built once per schedule_region by each backend.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "sched/priority.hpp"
 #include "sched/problem.hpp"
@@ -118,7 +121,7 @@ struct PassOutcome {
 /// besides the order in which ops are offered to it. Owns the dense
 /// forbidden table and flat occupancy over the ResourceSet's global
 /// instance numbering, placements, the combinational-cycle graph, the
-/// per-op refusal log and the restraint list. `try_bind`/`commit` place
+/// per-op refusal tallies and the restraint list. `try_bind`/`commit` place
 /// ops; `fatal`/`fatal_no_states` aggregate the refusals at the deadline
 /// step into the restraint vocabulary the expert system consumes; both
 /// backends therefore emit byte-identical restraints for the same
@@ -202,11 +205,30 @@ class BindingEngine {
     kWindow,
   };
 
-  struct Refusal {
-    int step;
-    int pool;
+  /// The refusals of one op at its latest refused step, folded as they
+  /// arrive; `fatal` only ever reads the deadline step, which is the last
+  /// step an op is offered at (both backends walk steps upward).
+  struct RefusalTally {
+    int step = -1;
+    int busy = 0;  ///< kBusy + kForbidden refusals
+    int pool = -1;  ///< max pool over the step's refusals
+    double best_slack = -1e18;
+    bool slack_seen = false;
+    bool window_seen = false;
+    int cycle_pool = -1;  ///< the step's last kCycle refusal
+    int cycle_inst = -1;
+  };
+
+  /// A candidate's timing verdict; one per sharing-mux size in a try_bind.
+  struct MuxTiming {
+    bool ok = false;
+    double arrival = 0;
+    double slack = 0;
+  };
+
+  struct Candidate {
     int instance;
-    RefuseCause cause;
+    double arrival;
     double slack;
   };
 
@@ -223,14 +245,22 @@ class BindingEngine {
 
   double operand_arrival(ir::OpId d, int e) const;
   void gather_arrivals(ir::OpId id, int e);
-  bool candidate_timing(int pool, int inst, int lat, double* arrival,
-                        double* slack);
+  /// Timing of binding `id` at step `e` onto `inst`. The instance only
+  /// matters through its sharing-mux size, so verdicts are memoized per
+  /// size for the current try_bind, and the operand arrivals are gathered
+  /// on its first miss.
+  MuxTiming candidate_timing(ir::OpId id, int e, int pool, int inst, int lat);
 
   bool bind_free(ir::OpId id, int e);
   bool scc_window_ok(ir::OpId id, int result_step) const;
+  /// Busy bits of `pool`'s instances over the slots of a span starting at
+  /// `e` (one word per 64 instances): the slot's own bitmap row for
+  /// single-cycle spans, else their OR in `busy_scratch_`.
+  const std::uint64_t* busy_words(int pool, int e, int lat);
   bool instance_free(ir::OpId id, int pool, int inst, int e, int lat,
                      bool excl_pred_ready) const;
-  bool creates_comb_cycle(ir::OpId id, int pool, int inst, int e) const;
+  /// Would chaining any of `chained_from_` into `inst` close a cycle?
+  bool creates_comb_cycle(int pool, int inst) const;
   /// Memory pools: may `inst` (bank-major port index) serve this op at
   /// all — right bank, direction-compatible port? Incompatible instances
   /// are skipped silently so busy counts mean "my bank's ports".
@@ -241,6 +271,9 @@ class BindingEngine {
   /// kBankConflict, otherwise kPortPressure.
   RestraintKind classify_memory_busy(ir::OpId id, int pool, int e) const;
 
+  /// The op's tally for step `e` (reset when the op moved on to a new
+  /// step), with `pool` folded into its max pool.
+  RefusalTally& tally_at(ir::OpId id, int e, int pool);
   void note_refusal(ir::OpId id, int e, int pool, int inst, RefuseCause cause,
                     double slack = 0);
   bool depends_on_failure(ir::OpId id) const;
@@ -259,13 +292,30 @@ class BindingEngine {
   std::vector<ir::OpId> failed_list_;
   /// Occupants per global instance * num_slots + slot.
   std::vector<std::vector<ir::OpId>> occ_;
+  /// Occupied-instance bitmap per slot: word (slot * busy_words_ +
+  /// busy_base_[pool] + i / 64) bit (i % 64) is set when instance i of
+  /// the pool has an occupant in that slot.
+  std::vector<std::uint64_t> busy_bits_;
+  std::vector<int> busy_base_;  ///< first bitmap word per pool
+  int busy_words_ = 0;          ///< bitmap words per slot
+  std::vector<std::uint64_t> busy_scratch_;
   std::vector<int> inst_ops_;    ///< committed ops per global instance
   std::vector<char> forbidden_;  ///< dense op x instance; empty = none
-  std::vector<double> arrivals_;  ///< scratch operand-arrival buffer
-  timing::PathQuery pq_;          ///< scratch query (arrivals set per bind)
+  timing::PathQuery pq_;  ///< scratch query (arrivals gathered per bind)
+  /// Per-try_bind timing memo by mux size, valid where the stamp equals
+  /// bind_epoch_ (bumped by every try_bind).
+  std::vector<MuxTiming> mux_timings_;
+  std::vector<std::uint32_t> mux_stamp_;
+  std::uint32_t bind_epoch_ = 0;
+  std::uint32_t arrivals_epoch_ = 0;  ///< pq_ arrivals gathered for it
+  std::vector<Candidate> feasible_negative_;  ///< per-try_bind scratch
+  /// Global instances of the op's chained FU producers (per try_bind).
+  std::vector<int> chained_from_;
   timing::CombCycleGraph comb_graph_;
+  /// Placed-step range per SCC (pipelined regions): lo > hi while empty.
+  std::vector<std::pair<int, int>> scc_steps_;
   std::vector<Restraint> restraints_;
-  std::vector<std::vector<Refusal>> refusals_;  ///< per op
+  std::vector<RefusalTally> tallies_;  ///< per op
   std::uint64_t commits_ = 0;  ///< PassOutcome::commits
 };
 

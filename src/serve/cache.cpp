@@ -89,16 +89,19 @@ void SessionCache::evict_to_capacity() {
 TraceCache::TraceCache(std::size_t max_entries)
     : max_entries_(std::max<std::size_t>(1, max_entries)) {}
 
-const sched::ScheduleSeed* TraceCache::lookup(const TraceKey& key) {
+std::shared_ptr<const sched::ScheduleSeed> TraceCache::lookup(
+    const TraceKey& key) {
   ++lookups_;
   const auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   ++hits_;
-  return &it->second.seed;
+  return it->second.seed;
 }
 
 void TraceCache::insert(const TraceKey& key, sched::ScheduleSeed seed) {
-  entries_.insert_or_assign(key, Entry{std::move(seed), next_stamp_++});
+  entries_.insert_or_assign(
+      key, Entry{std::make_shared<const sched::ScheduleSeed>(std::move(seed)),
+                 next_stamp_++});
   ++insertions_;
   while (entries_.size() > max_entries_) evict_one();
 }

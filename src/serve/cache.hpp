@@ -116,10 +116,10 @@ class TraceCache {
   /// would make lookups mutating).
   explicit TraceCache(std::size_t max_entries);
 
-  /// The seed stored under exactly `key`, or nullptr. The pointer is
-  /// valid until the next insert(); the serve engine copies the seed into
-  /// its work item before fanning out.
-  const sched::ScheduleSeed* lookup(const TraceKey& key);
+  /// The seed stored under exactly `key`, or nullptr. Seeds are
+  /// immutable and shared: the holder keeps one alive even after the
+  /// cache replaced or evicted it, so a hit costs a refcount bump.
+  std::shared_ptr<const sched::ScheduleSeed> lookup(const TraceKey& key);
 
   /// Stores a finished run's seed under `key`, replacing any previous
   /// entry there, then evicts eldest-first down to capacity. Call only at
@@ -132,8 +132,8 @@ class TraceCache {
 
   /// Force-evicts the eldest entry regardless of capacity — the
   /// fault-injection lever ("trace/evict"). Returns false when empty.
-  /// Safe at any barrier: seeds are copied into work items before
-  /// fan-out, so a forced eviction can never invalidate a running point.
+  /// Safe at any barrier: work items hold their seeds by shared pointer,
+  /// so a forced eviction can never invalidate a running point.
   bool evict_one();
 
   std::size_t size() const { return entries_.size(); }
@@ -147,7 +147,7 @@ class TraceCache {
 
  private:
   struct Entry {
-    sched::ScheduleSeed seed;
+    std::shared_ptr<const sched::ScheduleSeed> seed;
     std::uint64_t stamp = 0;  ///< insertion counter, for FIFO eviction
   };
 

@@ -422,16 +422,15 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
 
     // ---- Build the round: one micro-batch per job, seeds resolved NOW --
     // Seed resolution happens before any worker starts, in (job, point)
-    // order, and each work item COPIES its seed: lookups can never race
-    // commits, and a mid-round cache eviction cannot invalidate a seed a
-    // worker is reading.
+    // order, and each work item holds a shared pointer to its seed:
+    // lookups can never race commits, and a mid-round cache eviction
+    // cannot invalidate a seed a worker is reading.
     struct Work {
       std::int64_t job = 0;
       std::size_t index = 0;
       const core::ExploreConfig* cfg = nullptr;
       core::FlowSession* session = nullptr;
       TraceKey key;
-      bool has_seed = false;
       /// Injected "worker/dispatch" fault, decided serially at build time
       /// so the SAME item fails at every thread count; the worker then
       /// synthesizes a failed point instead of scheduling.
@@ -442,7 +441,7 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       /// synthesizes an [explore/dominated] point instead of scheduling.
       bool dominated = false;
       double dominated_witness = 0;  ///< the witness clock, for the message
-      sched::ScheduleSeed seed;
+      std::shared_ptr<const sched::ScheduleSeed> seed;  ///< trace-cache hit
       core::RunPointExtras extras;
       core::ExplorePoint pt;
     };
@@ -481,12 +480,7 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
             TraceKey{aj.module_hash,
                      item.cfg->solve_min_ii ? -1 : item.cfg->pipeline_ii,
                      item.cfg->latency, item.cfg->backend, item.cfg->tclk_ps};
-        if (options_.trace_cache) {
-          if (const sched::ScheduleSeed* seed = traces_.lookup(item.key)) {
-            item.seed = *seed;
-            item.has_seed = true;
-          }
-        }
+        if (options_.trace_cache) item.seed = traces_.lookup(item.key);
         item.fault_dispatch = fault("worker/dispatch");
         work.push_back(std::move(item));
       }
@@ -512,7 +506,7 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
             *item.cfg, "[serve/fault_injected] worker dispatch fault", false);
         return;
       }
-      item.extras.seed = item.has_seed ? &item.seed : nullptr;
+      item.extras.seed = item.seed.get();
       item.extras.record_seed = options_.trace_cache;
       item.pt = core::run_point(*item.session, *item.cfg, &item.extras);
     };

@@ -3,7 +3,13 @@
 // Section IV.A), including the Example 1 / Example 3 pipelined counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 
 #include "alloc/estimate.hpp"
 #include "alloc/lifespan.hpp"
@@ -287,6 +293,99 @@ TEST(Estimate, MutuallyExclusivePredicate) {
   const OpId o2 = mut.add(other);
   EXPECT_TRUE(mutually_exclusive(dfg, mul2, o2));
   EXPECT_FALSE(mutually_exclusive(dfg, mul2, mul2));
+}
+
+// The interval estimate as first written: every [a, b] window, its op
+// list rebuilt and its effective count re-derived. Kept as the oracle
+// for the incremental sweep.
+int brute_force_demand(const ir::Dfg& dfg, const std::vector<OpId>& ops,
+                       const LifespanResult& spans, int num_steps,
+                       int occupancy, bool exclusivity) {
+  int demand = 1;
+  for (int a = 0; a < num_steps; ++a) {
+    for (int b = a; b < num_steps; ++b) {
+      int unpredicated = 0;
+      std::map<OpId, std::pair<int, int>> by_pred;
+      for (OpId id : ops) {
+        const OpSpan& sp = spans.spans[id];
+        if (sp.asap < a || sp.alap > b) continue;
+        const ir::Op& o = dfg.op(id);
+        if (!exclusivity || o.pred == ir::kNoOp) {
+          ++unpredicated;
+        } else {
+          ++(o.pred_value ? by_pred[o.pred].first : by_pred[o.pred].second);
+        }
+      }
+      int n = unpredicated;
+      for (const auto& [pred, tf] : by_pred) n += std::max(tf.first, tf.second);
+      if (n == 0) continue;
+      demand = std::max(demand, (n * occupancy + b - a) / (b - a + 1));
+    }
+  }
+  return demand;
+}
+
+TEST(Estimate, IntervalSweepMatchesBruteForceOverRandomSpans) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const int num_steps = static_cast<int>(rng.uniform(1, 12));
+    const int num_preds = static_cast<int>(rng.uniform(0, 3));
+    ir::Dfg dfg;
+    std::vector<OpId> preds;
+    for (int i = 0; i < num_preds; ++i) {
+      ir::Op c;
+      c.kind = ir::OpKind::kLt;
+      c.type = ir::bool_ty();
+      preds.push_back(dfg.add(c));
+    }
+    ResourceSet set;
+    const int num_pools = static_cast<int>(rng.uniform(1, 3));
+    for (int p = 0; p < num_pools; ++p) {
+      ResourcePool pool;
+      pool.cls = FuClass::kMultiplier;
+      pool.latency_cycles = static_cast<int>(rng.uniform(0, 2));
+      set.pools.push_back(pool);
+    }
+    set.op_pool.assign(static_cast<std::size_t>(num_preds), -1);
+    LifespanResult spans;
+    spans.num_steps = num_steps;
+    spans.spans.resize(static_cast<std::size_t>(num_preds));
+    const int num_ops = static_cast<int>(rng.uniform(0, 24));
+    for (int i = 0; i < num_ops; ++i) {
+      ir::Op o;
+      o.kind = ir::OpKind::kMul;
+      const OpId id = dfg.add(o);
+      if (num_preds > 0 && rng.chance(0.6)) {
+        dfg.set_pred(id, preds[static_cast<std::size_t>(
+                             rng.uniform(0, num_preds - 1))],
+                     rng.chance(0.5));
+      }
+      set.op_pool.push_back(static_cast<int>(rng.uniform(0, num_pools - 1)));
+      OpSpan sp;
+      sp.asap = static_cast<int>(rng.uniform(0, num_steps - 1));
+      // Mostly well-formed spans, plus inverted and out-of-range ones.
+      sp.alap = static_cast<int>(rng.uniform(sp.asap - 1, num_steps));
+      spans.spans.push_back(sp);
+    }
+    const auto members = set.members();
+    for (const bool exclusivity : {true, false}) {
+      EstimateOptions opts;
+      opts.use_mutual_exclusivity = exclusivity;
+      const ResourceSet out =
+          estimate_initial_counts(dfg, set, spans, num_steps, opts);
+      for (std::size_t p = 0; p < set.pools.size(); ++p) {
+        const int expected =
+            members[p].empty()
+                ? 0
+                : brute_force_demand(
+                      dfg, members[p], spans, num_steps,
+                      std::max(1, set.pools[p].latency_cycles), exclusivity);
+        EXPECT_EQ(out.pools[p].count, expected)
+            << "seed " << seed << " pool " << p << " exclusivity "
+            << exclusivity;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -216,6 +216,78 @@ TEST(BindingEngine, ChainedMultiplierOverflowEmitsNegativeSlack) {
   EXPECT_LT(slack.slack_ps, 0);
 }
 
+// ---- Candidate timing by sharing-mux size ------------------------------------
+
+TEST(BindingEngine, EachInstanceIsTimedWithItsOwnMuxSize) {
+  // Four independent multiplies of one input on two shared multipliers.
+  Builder b("muxsizes");
+  auto in = b.in("a", int_ty(32));
+  auto out = b.out("y", int_ty(32));
+  auto loop = b.begin_counted(4);
+  auto x = b.read(in);
+  auto m0 = b.mul(x, b.c(3), "mul_0");
+  auto m1 = b.mul(x, b.c(5), "mul_1");
+  auto m2 = b.mul(x, b.c(7), "mul_2");
+  auto m3 = b.mul(x, b.c(9), "mul_3");
+  b.write(out, b.add(b.add(m0, m1), b.add(m2, m3)));
+  b.wait();
+  b.end_loop();
+  b.set_latency(loop, 4, 8);
+  ir::Module module = b.finish();
+  const auto region = ir::linearize(module.thread.tree, loop);
+  Problem problem = build_problem(module.thread.dfg, region, {4, 8},
+                                  tech::artisan90(), 1600, PipelineConfig{},
+                                  module.ports.size(), false, true);
+  ASSERT_GE(problem.num_steps, 3);
+  const int mul_pool = pool_of_class(problem, FuClass::kMultiplier);
+  ASSERT_GE(mul_pool, 0);
+  const auto& pdesc = problem.resources.pools[static_cast<std::size_t>(mul_pool)];
+  problem.resources.pools[static_cast<std::size_t>(mul_pool)].count = 2;
+  ASSERT_GT(problem.pool_members(mul_pool), 2);  // shared: muxes in front
+
+  // Arrival of a multiply on a registered operand behind an n-input
+  // sharing mux, and a clock period that fits 2 inputs but not 3.
+  timing::TimingEngine probe(tech::artisan90(), 1600);
+  const auto arrival_with_mux = [&](int n) {
+    timing::PathQuery q;
+    q.operand_arrivals_ps = {tech::artisan90().reg_clk_to_q_ps(), 0};
+    q.cls = pdesc.cls;
+    q.width = pdesc.width;
+    q.in_mux_inputs = n;
+    q.out_mux_inputs = n;
+    return probe.output_arrival_ps(q);
+  };
+  const double two = arrival_with_mux(2);
+  const double three = arrival_with_mux(3);
+  ASSERT_GT(three, two);
+  const double tclk =
+      two + tech::artisan90().reg_setup_ps() + (three - two) / 2;
+
+  const DependenceGraph dg = build_dependence_graph(problem);
+  timing::TimingEngine eng(tech::artisan90(), tclk);
+  RecordingHost host;
+  BindingEngine binder(problem, dg, eng, host);
+  for (OpId id : problem.ops) {
+    if (module.thread.dfg.op(id).kind == ir::OpKind::kRead) {
+      ASSERT_TRUE(binder.try_bind(id, 0));
+    }
+  }
+  // Instance 0 already hosts two multiplies in other states; instance 1
+  // hosts none.
+  binder.commit(find_op(module, "mul_1"), mul_pool, 0, 1, 0, two);
+  binder.commit(find_op(module, "mul_2"), mul_pool, 0, 2, 0, two);
+
+  // Instance 0 is free at step 0 but its 3-input mux misses the clock;
+  // instance 1's 2-input mux fits. One timing query per mux size.
+  const std::uint64_t queries_before = eng.queries();
+  host.commits.clear();
+  ASSERT_TRUE(binder.try_bind(find_op(module, "mul_0"), 0));
+  ASSERT_EQ(host.commits.size(), 1u);
+  EXPECT_EQ(host.commits[0].instance, 1);
+  EXPECT_EQ(host.commits[0].arrival, two);
+  EXPECT_EQ(eng.queries() - queries_before, 2u);
+}
+
 // ---- Commit/release callback contract ---------------------------------------
 
 TEST(BindingEngine, CommitReleasesConsumersAtChainingAwareStep) {

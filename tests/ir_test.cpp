@@ -142,6 +142,17 @@ TEST(Dfg, TopoOrderRespectsDependences) {
   EXPECT_LT(pos(s), pos(t));
 }
 
+TEST(Dfg, TopoOrderTakesSmallestReadyIdFirst) {
+  Dfg d;
+  const OpId a = d.constant(1, int_ty(32));            // %0, ready
+  const OpId s = d.binary(OpKind::kAdd, a, a, int_ty(32));  // %1, after %0
+  const OpId b = d.constant(2, int_ty(32));            // %2, ready
+  const OpId t = d.binary(OpKind::kMul, b, s, int_ty(32));  // %3
+  // First-in-first-out would emit %2 before %1; the order always takes
+  // the smallest ready id.
+  EXPECT_EQ(d.topo_order(), (std::vector<OpId>{a, s, b, t}));
+}
+
 TEST(Dfg, TopoOrderIgnoresCarriedEdge) {
   Dfg d;
   const OpId init = d.constant(0, int_ty(32));

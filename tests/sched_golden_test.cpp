@@ -77,12 +77,16 @@ std::string serialize(const FlowResult& r) {
   return s;
 }
 
-std::uint64_t schedule_hash(const workloads::Workload& w, int ii) {
-  FlowOptions o;
-  o.pipeline_ii = ii;
+std::uint64_t schedule_hash(const workloads::Workload& w, FlowOptions o) {
   o.emit_verilog = false;
   const FlowSession session(w);
   return fnv1a(serialize(session.run(o)));
+}
+
+std::uint64_t schedule_hash(const workloads::Workload& w, int ii) {
+  FlowOptions o;
+  o.pipeline_ii = ii;
+  return schedule_hash(w, o);
 }
 
 // ---- Golden table -----------------------------------------------------------
@@ -170,6 +174,113 @@ TEST(SchedGolden, SuiteSchedulesAreByteIdenticalToPreRefactor) {
     }
   }
   EXPECT_EQ(checked, suite.size() * 3);
+}
+
+// ---- Comb-cycle avoidance off (paper IV.B.3 ablation) -----------------------
+
+struct BackendGolden {
+  const char* name;
+  sched::BackendKind backend;
+  int ii;
+  std::uint64_t hash;
+};
+
+// Captured with FlowOptions::avoid_comb_cycles = false from the binder
+// that answered every cycle query with a plain DFS, before the ordered
+// comb-cycle graph and the per-step refusal tallies replaced it.
+const BackendGolden kNoCycleAvoidanceGolden[] = {
+    // clang-format off
+    {"fir16", sched::BackendKind::kList, 0, 10003561045123619741ull},
+    {"fir16", sched::BackendKind::kList, 2, 12521723699291214752ull},
+    {"fir16", sched::BackendKind::kSdc, 0, 10003561045123619741ull},
+    {"fir16", sched::BackendKind::kSdc, 2, 12521723699291214752ull},
+    {"ewf", sched::BackendKind::kList, 0, 5689328697306417690ull},
+    {"ewf", sched::BackendKind::kList, 2, 17360199563463667465ull},
+    {"ewf", sched::BackendKind::kSdc, 0, 5689328697306417690ull},
+    {"ewf", sched::BackendKind::kSdc, 2, 17360199563463667465ull},
+    {"arf", sched::BackendKind::kList, 0, 7779683114790634946ull},
+    {"arf", sched::BackendKind::kList, 2, 15260454016208241953ull},
+    {"arf", sched::BackendKind::kSdc, 0, 7779683114790634946ull},
+    {"arf", sched::BackendKind::kSdc, 2, 15260454016208241953ull},
+    {"crc32", sched::BackendKind::kList, 0, 9824933647608091324ull},
+    {"crc32", sched::BackendKind::kList, 2, 16095283284320541840ull},
+    {"crc32", sched::BackendKind::kSdc, 0, 9824933647608091324ull},
+    {"crc32", sched::BackendKind::kSdc, 2, 16095283284320541840ull},
+    {"fft8", sched::BackendKind::kList, 0, 17771874567909579898ull},
+    {"fft8", sched::BackendKind::kList, 2, 11435463741990301139ull},
+    {"fft8", sched::BackendKind::kSdc, 0, 17771874567909579898ull},
+    {"fft8", sched::BackendKind::kSdc, 2, 11435463741990301139ull},
+    {"dct8", sched::BackendKind::kList, 0, 17527478051141109785ull},
+    {"dct8", sched::BackendKind::kList, 2, 9519487193487437296ull},
+    {"dct8", sched::BackendKind::kSdc, 0, 17527478051141109785ull},
+    {"dct8", sched::BackendKind::kSdc, 2, 9519487193487437296ull},
+    {"idct8", sched::BackendKind::kList, 0, 2189562551344306224ull},
+    {"idct8", sched::BackendKind::kList, 2, 9108361458502411381ull},
+    {"idct8", sched::BackendKind::kSdc, 0, 2189562551344306224ull},
+    {"idct8", sched::BackendKind::kSdc, 2, 9108361458502411381ull},
+    {"conv3x3", sched::BackendKind::kList, 0, 14888560063404535796ull},
+    {"conv3x3", sched::BackendKind::kList, 2, 15353637563294299071ull},
+    {"conv3x3", sched::BackendKind::kSdc, 0, 14888560063404535796ull},
+    {"conv3x3", sched::BackendKind::kSdc, 2, 15353637563294299071ull},
+    {"sobel", sched::BackendKind::kList, 0, 13819336629871952092ull},
+    {"sobel", sched::BackendKind::kList, 2, 8901203364055785428ull},
+    {"sobel", sched::BackendKind::kSdc, 0, 13819336629871952092ull},
+    {"sobel", sched::BackendKind::kSdc, 2, 8901203364055785428ull},
+    {"banked_fir", sched::BackendKind::kList, 0, 9929501310269792292ull},
+    {"banked_fir", sched::BackendKind::kList, 2, 5103256508794859553ull},
+    {"banked_fir", sched::BackendKind::kSdc, 0, 9929501310269792292ull},
+    {"banked_fir", sched::BackendKind::kSdc, 2, 5103256508794859553ull},
+    {"transpose4", sched::BackendKind::kList, 0, 1350249617972492515ull},
+    {"transpose4", sched::BackendKind::kList, 2, 7975797190507510261ull},
+    {"transpose4", sched::BackendKind::kSdc, 0, 1350249617972492515ull},
+    {"transpose4", sched::BackendKind::kSdc, 2, 7975797190507510261ull},
+    {"stencil_row", sched::BackendKind::kList, 0, 1347082563062673650ull},
+    {"stencil_row", sched::BackendKind::kList, 2, 18254965948077725994ull},
+    {"stencil_row", sched::BackendKind::kSdc, 0, 1347082563062673650ull},
+    {"stencil_row", sched::BackendKind::kSdc, 2, 18254965948077725994ull},
+    {"rand7", sched::BackendKind::kList, 0, 12886808517743539609ull},
+    {"rand7", sched::BackendKind::kList, 2, 5645597170538429115ull},
+    {"rand7", sched::BackendKind::kSdc, 0, 12886808517743539609ull},
+    {"rand7", sched::BackendKind::kSdc, 2, 5645597170538429115ull},
+    // clang-format on
+};
+
+TEST(SchedGolden, SuiteSchedulesWithoutCombCycleAvoidanceMatchGoldens) {
+  const auto suite = workloads::suite();
+  const bool regen = std::getenv("HLS_GOLDEN_REGEN") != nullptr;
+  std::size_t checked = 0;
+  for (const auto& w : suite) {
+    for (const sched::BackendKind backend :
+         {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
+      for (int ii : {0, 2}) {
+        FlowOptions o;
+        o.backend = backend;
+        o.pipeline_ii = ii;
+        o.avoid_comb_cycles = false;
+        const std::uint64_t h = schedule_hash(w, o);
+        const char* kind = backend == sched::BackendKind::kList
+                               ? "sched::BackendKind::kList"
+                               : "sched::BackendKind::kSdc";
+        if (regen) {
+          std::printf("    {\"%s\", %s, %d, %lluull},\n", w.name.c_str(), kind,
+                      ii, static_cast<unsigned long long>(h));
+          continue;
+        }
+        const auto it = std::find_if(
+            std::begin(kNoCycleAvoidanceGolden),
+            std::end(kNoCycleAvoidanceGolden), [&](const BackendGolden& g) {
+              return w.name == g.name && g.backend == backend && g.ii == ii;
+            });
+        ASSERT_NE(it, std::end(kNoCycleAvoidanceGolden))
+            << "no golden entry for " << w.name << " " << kind
+            << " II=" << ii << " (regenerate with HLS_GOLDEN_REGEN=1)";
+        EXPECT_EQ(h, it->hash) << w.name << " " << kind << " II=" << ii;
+        ++checked;
+      }
+    }
+  }
+  if (regen) GTEST_SKIP() << "regeneration mode: table printed";
+  EXPECT_EQ(checked, suite.size() * 4);
 }
 
 // ---- Warm-started ≡ cold relaxation passes ----------------------------------

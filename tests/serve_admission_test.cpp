@@ -306,7 +306,7 @@ TEST(TraceCache, ExactBucketBeatsNeighbor) {
   TraceCache cache(8);
   cache.insert(key_at(1, 0, 1400), seed_at(1400));
   cache.insert(key_at(1, 0, 1600), seed_at(1600));
-  const sched::ScheduleSeed* hit = cache.lookup(key_at(1, 0, 1600));
+  auto hit = cache.lookup(key_at(1, 0, 1600));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->tclk_ps, 1600);
   hit = cache.lookup(key_at(1, 0, 1400));
@@ -370,7 +370,7 @@ TEST(TraceCache, ReinsertSameBucketReplacesWithoutGrowth) {
   updated.num_steps = 99;
   cache.insert(key, std::move(updated));
   EXPECT_EQ(cache.size(), 1u);
-  const sched::ScheduleSeed* hit = cache.lookup(key);
+  const auto hit = cache.lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->num_steps, 99);
 }

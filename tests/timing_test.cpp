@@ -3,7 +3,11 @@
 // Section IV worked example (1230/1580/1800 ps paths).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 
 #include "tech/library.hpp"
 #include "timing/comb_cycle.hpp"
@@ -207,21 +211,97 @@ TEST(CombCycle, SelfEdgeIsACycle) {
   EXPECT_TRUE(g.would_create_cycle(5, 5));
 }
 
-TEST(CombCycle, EdgesAreCounted) {
-  CombCycleGraph g;
+TEST(CombCycle, CyclicGraphFallsBackToPlainSearch) {
+  CombCycleGraph g(4);
   g.add_edge(0, 1);
-  g.add_edge(0, 1);  // second op pair on the same resource pair
-  EXPECT_TRUE(g.has_edge(0, 1));
-  g.remove_edge(0, 1);
-  EXPECT_TRUE(g.has_edge(0, 1));  // still one instance left
-  g.remove_edge(0, 1);
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.would_create_cycle(1, 0));
+  g.add_edge(1, 2);
+  EXPECT_FALSE(g.cyclic());
+  g.add_edge(2, 0);  // closes 0 -> 1 -> 2 -> 0
+  EXPECT_TRUE(g.cyclic());
+  EXPECT_TRUE(g.would_create_cycle(0, 2));
+  EXPECT_TRUE(g.would_create_cycle(1, 0));
+  EXPECT_FALSE(g.would_create_cycle(3, 0));
+  EXPECT_FALSE(g.would_create_cycle(0, 3));
+  g.add_edge(2, 3);
+  EXPECT_TRUE(g.would_create_cycle(3, 1));
 }
 
-TEST(CombCycle, RemoveMissingEdgeAsserts) {
-  CombCycleGraph g;
-  EXPECT_THROW(g.remove_edge(3, 4), InternalError);
+// Reference: plain reachability over an edge-set adjacency matrix.
+struct ReferenceGraph {
+  explicit ReferenceGraph(int num_nodes)
+      : n(num_nodes),
+        adj(static_cast<std::size_t>(num_nodes * num_nodes), false) {}
+  bool reaches(int from, int to) const {
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    std::vector<int> work{from};
+    seen[static_cast<std::size_t>(from)] = true;
+    while (!work.empty()) {
+      const int v = work.back();
+      work.pop_back();
+      if (v == to) return true;
+      for (int w = 0; w < n; ++w) {
+        if (adj[static_cast<std::size_t>(v * n + w)] &&
+            !seen[static_cast<std::size_t>(w)]) {
+          seen[static_cast<std::size_t>(w)] = true;
+          work.push_back(w);
+        }
+      }
+    }
+    return false;
+  }
+  bool would_create_cycle(int from, int to) const { return reaches(to, from); }
+  bool cyclic() const {
+    for (int v = 0; v < n; ++v) {
+      for (int w = 0; w < n; ++w) {
+        if (adj[static_cast<std::size_t>(v * n + w)] && reaches(w, v)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+  int n;
+  std::vector<bool> adj;
+};
+
+// The ordered graph against the reference over seeded random edge
+// sequences: every query after every insertion. `avoid` mirrors the
+// binder (refused edges are never added, so the order is kept); without
+// it the sequences close cycles and the cyclic fallback answers the rest.
+void differential_run(std::uint64_t seed, int n, int edges, bool avoid) {
+  Rng rng(seed);
+  CombCycleGraph g(rng.chance(0.5) ? n : 0);  // pre-sized or grown
+  ReferenceGraph ref(n);
+  for (int k = 0; k < edges; ++k) {
+    const int from = static_cast<int>(rng.uniform(0, n - 1));
+    const int to = static_cast<int>(rng.uniform(0, n - 1));
+    const bool refused = g.would_create_cycle(from, to);
+    ASSERT_EQ(refused, from == to || ref.would_create_cycle(from, to))
+        << "seed " << seed << " edge " << k << ": " << from << "->" << to;
+    if (avoid && refused) continue;
+    g.add_edge(from, to);
+    ref.adj[static_cast<std::size_t>(from * n + to)] = true;
+    ASSERT_EQ(g.cyclic(), ref.cyclic()) << "seed " << seed << " edge " << k;
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(g.would_create_cycle(a, b),
+                  a == b || ref.would_create_cycle(a, b))
+            << "seed " << seed << " edge " << k << " query " << a << "->" << b;
+      }
+    }
+  }
+}
+
+TEST(CombCycle, OrderedGraphMatchesPlainReachabilityWhenAvoiding) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    differential_run(seed, 4 + static_cast<int>(seed % 13), 60, true);
+  }
+}
+
+TEST(CombCycle, OrderedGraphMatchesPlainReachabilityAfterClosingCycles) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    differential_run(1000 + seed, 4 + static_cast<int>(seed % 13), 40, false);
+  }
 }
 
 }  // namespace
